@@ -17,7 +17,8 @@ import argparse
 import sys
 
 from . import formats, instance_attention, multipath
-from .errors import ConfigError, GeometryError, ImageIdMismatch, ParseError, ShapeError
+from .errors import (ConfigError, GeometryError, ImageIdMismatch, ParseError, ShapeError,
+                     check_range)
 from .evaluate import compute_metrics, match_detections
 from .ndtensor import as_tensor
 from .pseudolabel import FusionConfig, fuse_detections
@@ -119,8 +120,7 @@ def cmd_nms(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if not 0.0 < args.iou < 1.0:
-        raise ConfigError(f"--iou must be in (0, 1), got {args.iou}")
+    check_range("--iou", args.iou, 0.0, 1.0)
     gt = formats.load_ground_truth_file(args.gt)
     det = formats.load_detection_file(args.det)
     result = match_detections(gt, det, iou_thresh=args.iou)
@@ -223,10 +223,7 @@ def main(argv=None) -> int:
     except ImageIdMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IMAGE_ID
-    except (ConfigError, GeometryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SHAPES if args.command == "forward" else EXIT_PARAMS
-    except ShapeError as exc:
+    except (ConfigError, GeometryError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SHAPES if args.command == "forward" else EXIT_PARAMS
     except OSError as exc:

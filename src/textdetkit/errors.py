@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the range check that
+configurations use to raise :class:`ConfigError`."""
 
 
 class ShapeError(ValueError):
@@ -28,3 +29,16 @@ class ImageIdMismatch(ValueError):
 
 class EmptyProposalSet(ValueError):
     """An instance-level operation received zero proposals."""
+
+
+def check_range(name: str, value, low: float, high: float, *,
+                low_closed: bool = False, high_closed: bool = False) -> None:
+    """Raise ConfigError unless low < value < high (<= at a closed end).
+
+    Phrased as "inside", so NaN, which compares false with everything, fails.
+    """
+    above = value >= low if low_closed else value > low
+    below = value <= high if high_closed else value < high
+    if not (above and below):
+        interval = f"{'[' if low_closed else '('}{low:g}, {high:g}{']' if high_closed else ')'}"
+        raise ConfigError(f"{name} must be in {interval}, got {value}")

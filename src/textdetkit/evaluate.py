@@ -83,22 +83,38 @@ def region_iou(gt_poly: Polygon, det_polys) -> float:
     return min(max(inter / union, 0.0), 1.0)
 
 
+def _share_area(bounds, box) -> bool:
+    """Whether polygon bounds (xmin, ymin, xmax, ymax) and a mask's foreground
+    box (None for an empty mask) overlap with positive area."""
+    if box is None:
+        return False
+    xmin, ymin, xmax, ymax = bounds
+    return min(xmax, box.xmax) > max(xmin, box.xmin) and min(ymax, box.ymax) > max(ymin, box.ymin)
+
+
 def match_detections(gt: GroundTruthSet, det_set: DetectionSet,
                      iou_thresh: float = 0.5) -> MatchResult:
     """Greedy one-to-one matching of detections to ground-truth polygons.
 
     Detection regions are the outer contours of their masks. Candidate pairs
     with IoU >= iou_thresh are taken in IoU-descending order (ties by ground
-    truth index, then detection index).
+    truth index, then detection index). For iou_thresh > 0, a pair whose
+    polygon bounds and mask foreground box share no area has IoU 0 and is
+    skipped before any clipping.
     """
     if gt.image_id != det_set.image_id:
         raise ImageIdMismatch(
             f"ground truth is for {gt.image_id!r}, detections for {det_set.image_id!r}"
         )
     det_polys = [mask_to_polygons(det.mask) for det in det_set.detections]
+    det_boxes = [det.mask.foreground_box() for det in det_set.detections]
+    gate = iou_thresh > 0.0  # at 0 a zero-IoU pair is still a candidate
     candidates = []
     for g, poly in enumerate(gt.instances):
+        bounds = poly.bounds()
         for d, pieces in enumerate(det_polys):
+            if gate and not _share_area(bounds, det_boxes[d]):
+                continue  # IoU is 0, below the threshold
             iou = region_iou(poly, pieces)
             if iou >= iou_thresh:
                 candidates.append((iou, g, d))

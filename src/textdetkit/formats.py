@@ -111,44 +111,69 @@ def _check_schema(doc, path) -> None:
 
 
 def rle_encode(mask: BitMask) -> dict:
-    """Alternating run lengths over row-major order, starting from value 0."""
-    flat = mask.bits.ravel()
-    counts = []
-    run_value = False
-    run_length = 0
-    for v in flat.tolist():
-        if v == run_value:
-            run_length += 1
-        else:
-            counts.append(run_length)
-            run_value = v
-            run_length = 1
-    counts.append(run_length)
-    return {"width": mask.width, "height": mask.height, "counts": counts}
+    """Alternating run lengths over row-major order, starting from value 0.
+
+    Set runs are found per crop row; a run ending on the frame's right edge
+    joins one starting on the next row's left edge.
+    """
+    width, height = mask.width, mask.height
+    h, w = mask.crop.shape
+    padded = np.zeros((h, w + 2), np.int8)
+    padded[:, 1:-1] = mask.crop
+    row, col = np.divmod(np.flatnonzero(np.diff(padded, axis=1)), w + 1)
+    edges = (row + mask.y0) * width + col + mask.x0  # start, end, start, end, ...
+    seam = np.flatnonzero(edges[2::2] == edges[1:-1:2])  # end == next start
+    edges = np.delete(edges, np.concatenate([2 * seam + 1, 2 * seam + 2]))
+    counts = np.diff(edges, prepend=0, append=width * height)
+    if counts.size > 1 and counts[-1] == 0:  # the last run is a set run
+        counts = counts[:-1]
+    return {"width": width, "height": height, "counts": counts.tolist()}
+
+
+def _json_int(value, what: str) -> int:
+    """An integer read from JSON; floats, bools and strings are rejected."""
+    if type(value) is not int:
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def rle_decode(obj) -> BitMask:
-    try:
-        width = int(obj["width"])
-        height = int(obj["height"])
-        counts = [int(c) for c in obj["counts"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"invalid RLE mask: {exc}") from exc
+    """Inverse of :func:`rle_encode`, decoded straight into the crop.
+
+    The crop spans the set pixels' rows and columns (all columns if a run
+    wraps a row), so each run stays contiguous in its row-major order.
+    """
+    if not isinstance(obj, dict) or not isinstance(obj.get("counts"), (list, tuple)):
+        raise ParseError("invalid RLE mask: needs width, height and a counts list")
+    width = _json_int(obj.get("width"), "RLE width")
+    height = _json_int(obj.get("height"), "RLE height")
+    counts = [_json_int(c, "RLE count") for c in obj["counts"]]
     if width < 1 or height < 1:
         raise ParseError(f"invalid RLE mask dimensions {width}x{height}")
     if any(c < 0 for c in counts) or sum(counts) != width * height:
         raise ParseError(
             f"RLE counts sum {sum(counts)} != {width}x{height} = {width * height}"
         )
-    flat = np.zeros(width * height, dtype=bool)
-    pos = 0
-    value = False
-    for c in counts:
-        if value:
-            flat[pos:pos + c] = True
-        pos += c
-        value = not value
-    return BitMask(width=width, height=height, bits=flat.reshape(height, width))
+    counts = np.array(counts, dtype=np.int64)
+    ends = np.cumsum(counts)
+    starts, ends = (ends - counts)[1::2], ends[1::2]  # the set runs
+    nonempty = ends > starts
+    if not nonempty.any():
+        return BitMask.empty(width, height)
+    first_row, first_col = np.divmod(starts[nonempty], width)
+    last_row, last_col = np.divmod(ends[nonempty] - 1, width)
+    y0, y1 = int(first_row[0]), int(last_row[-1]) + 1
+    if (first_row != last_row).any():
+        x0, x1 = 0, width
+    else:
+        x0, x1 = int(first_col.min()), int(last_col.max()) + 1
+    span = x1 - x0
+    edges = np.empty(2 * first_row.size, np.int64)  # run bounds inside the crop
+    edges[0::2] = (first_row - y0) * span + first_col - x0
+    edges[1::2] = (last_row - y0) * span + last_col - x0 + 1
+    lengths = np.diff(edges, prepend=0, append=(y1 - y0) * span)
+    flat = np.repeat(np.arange(lengths.size) % 2 == 1, lengths)  # clear, set, ..., clear
+    return BitMask.from_crop(width, height, x0, y0, flat.reshape(y1 - y0, span))
 
 
 # ---------------------------------------------------------------------------
@@ -212,22 +237,32 @@ def _mask_from_record(record, width, height, path) -> BitMask:
         polys = [record["polygon"]]
     if not polys:
         raise ParseError(f"{path}: record carries neither a mask nor polygons")
-    bits = np.zeros((height, width), dtype=bool)
+    masks = []
     for raw in polys:
         pts = _polygon_points_from_json(raw, width, height, path)
         try:
             poly = Polygon(tuple(pts))
         except ValueError as exc:
             raise ParseError(f"{path}: {exc}") from exc
-        bits |= polygon_to_mask(poly, width, height).bits
-    return BitMask(width=width, height=height, bits=bits)
+        masks.append(polygon_to_mask(poly, width, height))
+    pieces = [m for m in masks if not m.is_empty()] or masks[:1]
+    if len(pieces) == 1:
+        return pieces[0]
+    # union of the pieces, pasted into the box that covers all their crops
+    boxes = [m.crop_box() for m in pieces]
+    x0, y0 = min(b[0] for b in boxes), min(b[1] for b in boxes)
+    x1, y1 = max(b[2] for b in boxes), max(b[3] for b in boxes)
+    bits = np.zeros((y1 - y0, x1 - x0), dtype=bool)
+    for m, (mx0, my0, mx1, my1) in zip(pieces, boxes):
+        bits[my0 - y0:my1 - y0, mx0 - x0:mx1 - x0] |= m.crop
+    return BitMask.from_crop(width, height, x0, y0, bits)
 
 
 def _unit_interval(record, key, path) -> float:
-    try:
-        value = float(record[key])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: missing or non-numeric {key!r}") from exc
+    raw = record.get(key)
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ParseError(f"{path}: missing or non-numeric {key!r}: {raw!r}")
+    value = float(raw)
     if not 0.0 <= value <= 1.0:
         raise ParseError(f"{path}: {key} {value} outside [0, 1]")
     return value

@@ -12,6 +12,10 @@ Coordinate conventions (shared by every module):
 Contours of components whose pixels touch only diagonally pass through the
 shared corner twice; such polygons are weakly simple (edges meet at isolated
 points but never cross) and every operation here handles them.
+
+Bit masks are stored as their foreground crop (the tight box around the set
+pixels); the full-frame array is a derived, read-only view, and every mask
+operation here works inside crops.
 """
 
 from __future__ import annotations
@@ -264,145 +268,200 @@ def iou_polygon(a: Polygon, b: Polygon) -> float:
 # bit masks
 
 
-@dataclass(eq=False)
 class BitMask:
-    """Row-major boolean pixel grid of a text region."""
+    """Boolean pixel mask of a text region in a ``width`` x ``height`` frame.
 
-    width: int
-    height: int
-    bits: np.ndarray
+    Stores the offset ``(x0, y0)`` of the tight box around the set pixels,
+    the read-only bool ``crop`` inside it (0 x 0 at (0, 0) when empty) and
+    the popcount. The constructor and :meth:`from_array` crop a full-frame
+    array. ``bits`` is a read-only full-frame copy built on each access.
+    """
 
-    def __post_init__(self):
-        self.bits = np.ascontiguousarray(np.asarray(self.bits, dtype=bool))
-        if self.bits.shape != (self.height, self.width):
+    __slots__ = ("width", "height", "x0", "y0", "crop", "_count")
+
+    def __init__(self, width: int, height: int, bits):
+        bits = np.asarray(bits, dtype=bool)
+        if bits.shape != (height, width):
             raise ShapeError(
-                f"mask bits shape {self.bits.shape} != (height, width) = "
-                f"({self.height}, {self.width})"
+                f"mask bits shape {bits.shape} != (height, width) = ({height}, {width})"
             )
+        self._store(width, height, 0, 0, bits)
 
     @classmethod
     def from_array(cls, arr) -> "BitMask":
         arr = np.asarray(arr, dtype=bool)
         if arr.ndim != 2:
             raise ShapeError(f"mask array must be 2-D, got rank {arr.ndim}")
-        return cls(width=arr.shape[1], height=arr.shape[0], bits=arr)
+        return cls(arr.shape[1], arr.shape[0], arr)
+
+    @classmethod
+    def from_crop(cls, width: int, height: int, x0: int, y0: int, crop) -> "BitMask":
+        """Mask whose set pixels all lie in ``crop``, placed at (x0, y0)."""
+        crop = np.asarray(crop, dtype=bool)
+        if crop.ndim != 2:
+            raise ShapeError(f"mask crop must be 2-D, got rank {crop.ndim}")
+        h, w = crop.shape
+        if x0 < 0 or y0 < 0 or x0 + w > width or y0 + h > height:
+            raise ShapeError(
+                f"mask crop {w}x{h} at ({x0}, {y0}) leaves the {width}x{height} frame"
+            )
+        mask = cls.__new__(cls)
+        mask._store(width, height, x0, y0, crop)
+        return mask
 
     @classmethod
     def empty(cls, width: int, height: int) -> "BitMask":
-        return cls(width=width, height=height, bits=np.zeros((height, width), bool))
+        return cls.from_crop(width, height, 0, 0, np.zeros((0, 0), bool))
+
+    def _store(self, width, height, x0, y0, arr) -> None:
+        rows = np.flatnonzero(arr.any(axis=1))
+        if rows.size:
+            cols = np.flatnonzero(arr.any(axis=0))
+            crop = np.array(arr[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1])  # own copy
+            x0, y0 = x0 + int(cols[0]), y0 + int(rows[0])
+        else:
+            crop, x0, y0 = np.zeros((0, 0), bool), 0, 0
+        crop.flags.writeable = False
+        self.width, self.height = int(width), int(height)
+        self.x0, self.y0, self.crop = x0, y0, crop
+        self._count = int(np.count_nonzero(crop))
+
+    @property
+    def bits(self) -> np.ndarray:
+        """Full-frame (height, width) array, built on each access; read-only."""
+        full = np.zeros((self.height, self.width), bool)
+        h, w = self.crop.shape
+        full[self.y0:self.y0 + h, self.x0:self.x0 + w] = self.crop
+        full.flags.writeable = False
+        return full
 
     def count(self) -> int:
-        return int(self.bits.sum())
+        return self._count
 
     def is_empty(self) -> bool:
-        return not self.bits.any()
+        return self._count == 0
+
+    def crop_box(self) -> tuple[int, int, int, int]:
+        """(x0, y0, x1, y1) of the stored crop; zero-sized for an empty mask."""
+        h, w = self.crop.shape
+        return (self.x0, self.y0, self.x0 + w, self.y0 + h)
+
+    def window(self, x0: int, y0: int, x1: int, y1: int) -> np.ndarray:
+        """View of the pixels in [x0, x1) x [y0, y1), a box inside the crop box."""
+        return self.crop[y0 - self.y0:y1 - self.y0, x0 - self.x0:x1 - self.x0]
 
     def key(self) -> tuple:
         """Hashable identity for sorting / multiset comparisons."""
-        return (self.width, self.height, self.bits.tobytes())
+        return (self.width, self.height, self.x0, self.y0, self.crop.shape,
+                self.crop.tobytes())
 
     def __eq__(self, other):
         if not isinstance(other, BitMask):
             return NotImplemented
-        return (
-            self.width == other.width
-            and self.height == other.height
-            and np.array_equal(self.bits, other.bits)
-        )
+        return self.key() == other.key()
 
     __hash__ = None
 
+    def __repr__(self):
+        return f"BitMask({self.width}x{self.height}, {self._count} px, crop {self.crop_box()})"
+
     def foreground_box(self) -> AxisBox | None:
         """Tight box around foreground pixels, or None for an empty mask."""
-        rows = np.flatnonzero(self.bits.any(axis=1))
-        if rows.size == 0:
+        if self.is_empty():
             return None
-        cols = np.flatnonzero(self.bits.any(axis=0))
-        return AxisBox(float(cols[0]), float(rows[0]), float(cols[-1] + 1), float(rows[-1] + 1))
+        return AxisBox(*(float(v) for v in self.crop_box()))
+
+
+def shared_window(masks) -> tuple[int, int, int, int] | None:
+    """Intersection (x0, y0, x1, y1) of the masks' crop boxes, None if empty."""
+    boxes = [m.crop_box() for m in masks]
+    x0, y0 = max(b[0] for b in boxes), max(b[1] for b in boxes)
+    x1, y1 = min(b[2] for b in boxes), min(b[3] for b in boxes)
+    return (x0, y0, x1, y1) if x0 < x1 and y0 < y1 else None
 
 
 def iou_mask(a: BitMask, b: BitMask) -> float:
-    """popcount(a AND b) / popcount(a OR b); 0 when both masks are empty."""
+    """popcount(a AND b) / popcount(a OR b); 0 when both masks are empty.
+
+    Disjoint foreground boxes give 0 at once; otherwise AND is counted over
+    the shared box only and OR = |a| + |b| - AND, exactly.
+    """
     if (a.width, a.height) != (b.width, b.height):
         raise ShapeError(
             f"mask dimensions differ: {a.width}x{a.height} vs {b.width}x{b.height}"
         )
-    inter = int(np.logical_and(a.bits, b.bits).sum())
-    union = int(np.logical_or(a.bits, b.bits).sum())
-    if union == 0:
+    win = shared_window((a, b))
+    if win is None:
         return 0.0
-    return inter / union
+    inter = int(np.count_nonzero(a.window(*win) & b.window(*win)))
+    return inter / (a.count() + b.count() - inter)
 
 
 # ---------------------------------------------------------------------------
 # mask <-> polygon conversion
 
+# (dx, dy) from a pixel's top-left corner to the start / end vertex of its
+# up, right, down and left boundary edges (foreground on the left)
+_SIDE_FROM = np.array([(0, 0), (1, 0), (1, 1), (0, 1)])
+_SIDE_TO = np.array([(1, 0), (1, 1), (0, 1), (0, 0)])
+
 
 def _boundary_loops(comp: np.ndarray):
     """Closed grid-edge loops around a component, foreground kept on the left.
 
-    Returns integer vertex loops; the outer boundary winds CCW (positive
-    shoelace), hole boundaries wind CW. At pinch corners (two pixels of the
-    component touching diagonally) the walk passes through to the diagonal
-    pixel, so one component yields one outer loop.
+    Returns one (n, 2) integer vertex array per loop; the outer boundary
+    winds CCW (positive shoelace), hole boundaries wind CW. Edges are
+    numbered over row-major pixels, then sides up/right/down/left; each loop
+    starts at its lowest-numbered edge. At pinch corners (pixels touching
+    diagonally) the walk passes through to the diagonal pixel.
     """
     h, w = comp.shape
     padded = np.zeros((h + 2, w + 2), bool)
     padded[1:-1, 1:-1] = comp
-    edges = []  # (from_vertex, to_vertex, owner_pixel)
-    edges_at: dict = {}
+    open_sides = np.stack([
+        comp & ~padded[:-2, 1:-1],   # no neighbor above
+        comp & ~padded[1:-1, 2:],    # no neighbor to the right
+        comp & ~padded[2:, 1:-1],    # no neighbor below
+        comp & ~padded[1:-1, :-2],   # no neighbor to the left
+    ], axis=-1)
+    ys, xs, sides = np.nonzero(open_sides)
+    pixel = np.stack([xs, ys], axis=1)
+    frm = pixel + _SIDE_FROM[sides]
+    to = pixel + _SIDE_TO[sides]
+    owner = ys * w + xs
+    # successor of each edge: the edge leaving its end vertex; a pinch vertex
+    # has two, and the walk takes the lower-numbered one owned by another pixel
+    from_key = frm[:, 1] * (w + 1) + frm[:, 0]
+    to_key = to[:, 1] * (w + 1) + to[:, 0]
+    order = np.argsort(from_key, kind="stable")
+    lo = np.searchsorted(from_key[order], to_key, side="left")
+    hi = np.searchsorted(from_key[order], to_key, side="right")
+    first = order[lo]
+    second = order[np.minimum(lo + 1, len(order) - 1)]
+    succ = np.where((hi - lo == 1) | (owner[first] != owner), first, second).tolist()
 
-    def add(frm, to, owner):
-        edges_at.setdefault(frm, []).append(len(edges))
-        edges.append((frm, to, owner))
-
-    ys, xs = np.nonzero(comp)
-    for y, x in zip(ys.tolist(), xs.tolist()):
-        owner = (x, y)
-        if not padded[y, x + 1]:  # neighbor above
-            add((x, y), (x + 1, y), owner)
-        if not padded[y + 1, x + 2]:  # neighbor to the right
-            add((x + 1, y), (x + 1, y + 1), owner)
-        if not padded[y + 2, x + 1]:  # neighbor below
-            add((x + 1, y + 1), (x, y + 1), owner)
-        if not padded[y + 1, x]:  # neighbor to the left
-            add((x, y + 1), (x, y), owner)
-
-    used = [False] * len(edges)
+    used = [False] * len(succ)
     loops = []
-    for start in range(len(edges)):
+    for start in range(len(succ)):
         if used[start]:
             continue
+        cycle = [start]
         used[start] = True
-        frm, to, owner = edges[start]
-        loop = [frm]
-        cur_end, cur_owner = to, owner
-        while True:
-            cands = edges_at[cur_end]
-            if len(cands) == 1:
-                nxt = cands[0]
-            else:
-                # pinch vertex: continue along the diagonally-touching pixel
-                nxt = next(i for i in cands if edges[i][2] != cur_owner)
-            if nxt == start:
-                break
-            loop.append(cur_end)
-            used[nxt] = True
-            _, cur_end, cur_owner = edges[nxt]
-        loops.append(loop)
+        edge = succ[start]
+        while edge != start:
+            cycle.append(edge)
+            used[edge] = True
+            edge = succ[edge]
+        loops.append(frm[cycle])
     return loops
 
 
-def _merge_collinear(loop):
-    out = []
-    n = len(loop)
-    for i in range(n):
-        px, py = loop[i - 1]
-        x, y = loop[i]
-        nx, ny = loop[(i + 1) % n]
-        if (x - px) * (ny - y) - (y - py) * (nx - x) != 0:
-            out.append((x, y))
-    return out
+def _merge_collinear(loop: np.ndarray) -> np.ndarray:
+    prev = np.roll(loop, 1, axis=0)
+    nxt = np.roll(loop, -1, axis=0)
+    turn = ((loop[:, 0] - prev[:, 0]) * (nxt[:, 1] - loop[:, 1])
+            - (loop[:, 1] - prev[:, 1]) * (nxt[:, 0] - loop[:, 0]))
+    return loop[turn != 0]
 
 
 def mask_to_polygons(m: BitMask) -> list[Polygon]:
@@ -415,14 +474,15 @@ def mask_to_polygons(m: BitMask) -> list[Polygon]:
     """
     if m.is_empty():
         return []
-    labels, n_comp = ndimage.label(m.bits, structure=np.ones((3, 3), int))
+    labels, _ = ndimage.label(m.crop, structure=np.ones((3, 3), int))
     polygons = []
-    for comp_id in range(1, n_comp + 1):
-        comp = labels == comp_id
-        for loop in _boundary_loops(comp):
+    for comp_id, (rows, cols) in enumerate(ndimage.find_objects(labels), start=1):
+        offset = (m.x0 + cols.start, m.y0 + rows.start)
+        for loop in _boundary_loops(labels[rows, cols] == comp_id):
             verts = _merge_collinear(loop)
-            if _signed_area(verts) > 0:  # keep outer contours, drop holes
-                polygons.append(Polygon(tuple((float(x), float(y)) for x, y in verts)))
+            x, y = verts[:, 0], verts[:, 1]
+            if np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y) > 0:  # outer, not a hole
+                polygons.append(Polygon(tuple((verts + offset).tolist())))
     return polygons
 
 
@@ -441,7 +501,6 @@ def polygon_to_mask(p: Polygon, width: int, height: int) -> BitMask:
             f"canvas {width}x{height} too small for polygon bounds "
             f"({xmin:.3f}, {ymin:.3f}, {xmax:.3f}, {ymax:.3f})"
         )
-    bits = np.zeros((height, width), bool)
     crossings_by_row: dict[int, list[float]] = {}
     verts = p.vertices
     n = len(verts)
@@ -457,11 +516,20 @@ def polygon_to_mask(p: Polygon, width: int, height: int) -> BitMask:
         for r in range(r0, r1):
             yc = r + 0.5
             crossings_by_row.setdefault(r, []).append(x0 + (yc - y0) * inv * (x1 - x0))
+    spans = []  # (row, first column, end column) of each covered run
     for r, xs in crossings_by_row.items():
         xs.sort()
         for j in range(0, len(xs) - 1, 2):
             c0 = max(math.ceil(xs[j] - 0.5), 0)
             c1 = min(math.ceil(xs[j + 1] - 0.5), width)
             if c1 > c0:
-                bits[r, c0:c1] = True
-    return BitMask(width=width, height=height, bits=bits)
+                spans.append((r, c0, c1))
+    if not spans:
+        return BitMask.empty(width, height)
+    r_lo = min(s[0] for s in spans)
+    c_lo = min(s[1] for s in spans)
+    crop = np.zeros((max(s[0] for s in spans) + 1 - r_lo,
+                     max(s[2] for s in spans) - c_lo), bool)
+    for r, c0, c1 in spans:
+        crop[r - r_lo, c0 - c_lo:c1 - c_lo] = True
+    return BitMask.from_crop(width, height, c_lo, r_lo, crop)

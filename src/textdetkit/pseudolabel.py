@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
-from .geometry import AxisBox, BitMask, iou_box, iou_mask
+from .errors import ConfigError, ShapeError, check_range
+from .geometry import AxisBox, BitMask, iou_box, iou_mask, shared_window
 
 IOU_MODES = ("mask", "box")
 
@@ -85,10 +85,8 @@ class FusionConfig:
     iou_mode: str = "mask"
 
     def __post_init__(self):
-        if not 0.0 < self.iou_threshold < 1.0:
-            raise ConfigError(f"iou_threshold must be in (0, 1), got {self.iou_threshold}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ConfigError(f"alpha must be in (0, 1], got {self.alpha}")
+        check_range("iou_threshold", self.iou_threshold, 0.0, 1.0)
+        check_range("alpha", self.alpha, 0.0, 1.0, high_closed=True)
         if self.iou_mode not in IOU_MODES:
             raise ConfigError(f"iou_mode must be one of {IOU_MODES}, got {self.iou_mode!r}")
 
@@ -107,7 +105,8 @@ def detection_iou(a: ScoredDetection, b: ScoredDetection, mode: str = "mask") ->
 
 
 def overlap_mask(masks) -> BitMask:
-    """Pixelwise AND of two or more equally sized masks."""
+    """Pixelwise AND of two or more equally sized masks, computed over the
+    intersection of their crop boxes only."""
     masks = list(masks)
     if len(masks) < 2:
         raise ShapeError(f"overlap_mask needs >= 2 masks, got {len(masks)}")
@@ -117,8 +116,11 @@ def overlap_mask(masks) -> BitMask:
             raise ShapeError(
                 f"mask dimensions differ: {first.width}x{first.height} vs {m.width}x{m.height}"
             )
-    bits = np.logical_and.reduce([m.bits for m in masks])
-    return BitMask(width=first.width, height=first.height, bits=bits)
+    win = shared_window(masks)
+    if win is None:
+        return BitMask.empty(first.width, first.height)
+    bits = np.logical_and.reduce([m.window(*win) for m in masks])
+    return BitMask.from_crop(first.width, first.height, win[0], win[1], bits)
 
 
 def soft_box(boxes) -> AxisBox:

@@ -14,11 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .errors import ConfigError, ImageIdMismatch
-from .pseudolabel import ScoredDetection, detection_iou
+from .errors import ConfigError, ImageIdMismatch, check_range
+from .pseudolabel import IOU_MODES, ScoredDetection, detection_iou
 
 MODES = ("hard", "soft-linear", "soft-gaussian")
-IOU_MODES = ("mask", "box")
 
 
 @dataclass
@@ -32,12 +31,10 @@ class SuppressConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not 0.0 < self.iou_threshold < 1.0:
-            raise ConfigError(f"iou_threshold must be in (0, 1), got {self.iou_threshold}")
-        if self.sigma <= 0.0:
-            raise ConfigError(f"sigma must be > 0, got {self.sigma}")
-        if self.score_floor < 0.0:
-            raise ConfigError(f"score_floor must be >= 0, got {self.score_floor}")
+        check_range("iou_threshold", self.iou_threshold, 0.0, 1.0)
+        check_range("sigma", self.sigma, 0.0, math.inf, high_closed=True)
+        check_range("score_floor", self.score_floor, 0.0, math.inf, low_closed=True,
+                    high_closed=True)
         if self.iou_mode not in IOU_MODES:
             raise ConfigError(f"iou_mode must be one of {IOU_MODES}, got {self.iou_mode!r}")
 

@@ -3,14 +3,14 @@
 The oracles here deliberately avoid the library code paths they check:
 convolution is a plain quadruple loop, pooling enumerates bin membership per
 pixel, point-in-polygon is a local crossing-number routine, and blobs are
-built by stamping shapes plus a local flood fill.
+built by stamping shapes, with holes filled by scipy.
 """
 
 import math
-from collections import deque
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from textdetkit.geometry import BitMask
 from textdetkit.pseudolabel import ScoredDetection
@@ -103,28 +103,8 @@ def points_in_polygon(xs, ys, vertices):
 
 
 def fill_holes(bits):
-    """Set every background pixel not 4-connected to the border (local BFS)."""
-    h, w = bits.shape
-    reach = np.zeros((h, w), dtype=bool)
-    queue = deque()
-    for y in range(h):
-        for x in (0, w - 1):
-            if not bits[y, x] and not reach[y, x]:
-                reach[y, x] = True
-                queue.append((y, x))
-    for x in range(w):
-        for y in (0, h - 1):
-            if not bits[y, x] and not reach[y, x]:
-                reach[y, x] = True
-                queue.append((y, x))
-    while queue:
-        y, x = queue.popleft()
-        for dy, dx in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            ny, nx = y + dy, x + dx
-            if 0 <= ny < h and 0 <= nx < w and not bits[ny, nx] and not reach[ny, nx]:
-                reach[ny, nx] = True
-                queue.append((ny, nx))
-    return bits | ~reach
+    """Set every background pixel not 4-connected to the border."""
+    return ndimage.binary_fill_holes(bits)
 
 
 def random_blob_bits(rng, width, height, n_stamps=3, hole_free=True):

@@ -121,6 +121,13 @@ class TestFuse:
         assert main(["fuse", "--det-a", str(ok), "--det-b", str(ok), "--det-c", str(ok),
                      "--alpha", "0", "--out", str(tmp_path / "o.json")]) == 4
 
+    @pytest.mark.parametrize("flag", ["--alpha", "--iou-threshold"])
+    def test_nan_params_exit_4(self, tmp_path, flag):
+        ok = tmp_path / "ok.json"
+        write_detection_file(ok, [])
+        assert main(["fuse", "--det-a", str(ok), "--det-b", str(ok), "--det-c", str(ok),
+                     flag, "nan", "--out", str(tmp_path / "o.json")]) == 4
+
 
 class TestNms:
     def test_single_file_disjoint_unchanged(self, tmp_path):
@@ -166,6 +173,48 @@ class TestNms:
         write_detection_file(p2, [], image_id="two")
         assert main(["nms", "--in", str(p1), str(p2),
                      "--out", str(tmp_path / "o.json")]) == 3
+
+    @pytest.mark.parametrize("flags", [["--mode", "soft-gaussian", "--sigma", "nan"],
+                                       ["--score-floor", "nan"],
+                                       ["--iou-threshold", "nan"]])
+    def test_nan_parameter_exit_4(self, tmp_path, flags):
+        dets = [square_detection(2 + 9 * i, 2, 6, 0.9 - 0.1 * i) for i in range(5)]
+        src = tmp_path / "in.json"
+        write_detection_file(src, dets)
+        out = tmp_path / "out.json"
+        assert main(["nms", "--in", str(src), *flags, "--out", str(out)]) == 4
+        assert not out.exists()
+
+
+class TestFieldTypes:
+    """Readers reject JSON values that only look numeric (exit 2)."""
+
+    def _nms_on_record(self, tmp_path, record):
+        doc = {"schemaVersion": "1", "imageId": "img", "imageWidth": 4, "imageHeight": 4,
+               "sourceTag": "m", "scaleFactor": 1.0, "detections": [record]}
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps(doc))
+        return main(["nms", "--in", str(src), "--out", str(tmp_path / "o.json")])
+
+    def test_fractional_rle_counts_exit_2(self, tmp_path):
+        record = {"box": [0, 0, 4, 4], "score": 0.5,
+                  "mask": {"width": 4, "height": 4, "counts": [0, 10.7, 6.0]}}
+        assert self._nms_on_record(tmp_path, record) == 2
+
+    def test_bool_rle_count_exit_2(self, tmp_path):
+        record = {"box": [0, 0, 4, 4], "score": 0.5,
+                  "mask": {"width": 4, "height": 4, "counts": [True, 15]}}
+        assert self._nms_on_record(tmp_path, record) == 2
+
+    def test_bool_score_exit_2(self, tmp_path):
+        record = {"box": [0, 0, 4, 4], "score": True,
+                  "mask": {"width": 4, "height": 4, "counts": [5, 2, 9]}}
+        assert self._nms_on_record(tmp_path, record) == 2
+
+    def test_valid_record_still_exit_0(self, tmp_path):
+        record = {"box": [0, 0, 4, 4], "score": 1,
+                  "mask": {"width": 4, "height": 4, "counts": [5, 2, 9]}}
+        assert self._nms_on_record(tmp_path, record) == 0
 
 
 class TestEval:

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 
 import numpy as np
@@ -11,7 +12,7 @@ from textdetkit.evaluate import (
     match_detections,
     region_iou,
 )
-from textdetkit.geometry import BitMask, Polygon, mask_to_polygons, polygon_to_mask
+from textdetkit.geometry import AxisBox, BitMask, Polygon, mask_to_polygons, polygon_to_mask
 from textdetkit.pseudolabel import ScoredDetection
 from textdetkit.suppress import DetectionSet
 
@@ -125,6 +126,74 @@ class TestMatching:
         assert report.precision == 1.0
 
 
+def ungated_match(gt, ds, iou_thresh):
+    """match_detections without the box gate: region_iou on every pair."""
+    det_polys = [mask_to_polygons(d.mask) for d in ds.detections]
+    candidates = []
+    for g, poly in enumerate(gt.instances):
+        for d, pieces in enumerate(det_polys):
+            iou = region_iou(poly, pieces)
+            if iou >= iou_thresh:
+                candidates.append((iou, g, d))
+    candidates.sort(key=lambda t: (-t[0], t[1], t[2]))
+    gt_used, det_used = set(), set()
+    matches, ignored = [], []
+    for iou, g, d in candidates:
+        if g in gt_used or d in det_used:
+            continue
+        gt_used.add(g)
+        det_used.add(d)
+        if gt.ignore_flags[g]:
+            ignored.append(d)
+        else:
+            matches.append((g, d, iou))
+    return matches, ignored
+
+
+class TestBoxGate:
+    def _scene(self, rng):
+        """Ground truth squares (2 px margin) and detections that overlap
+        them, overlap by a 1 px strip, share only an edge, miss, or are empty."""
+        polys = [square_poly(float(rng.uniform(2, CANVAS - 14)), float(rng.uniform(2, CANVAS - 14)),
+                             float(rng.uniform(4, 12))) for _ in range(5)]
+        dets = [detection_for(p.translated(*rng.uniform(-2, 2, size=2)),
+                              score=float(rng.uniform(0.3, 1))) for p in polys[1:4]]
+        x0, y0, x1, y1 = polys[0].bounds()
+        dets.append(detection_for(square_poly(x1, y0, 2.0)))   # edge contact only
+        dets.append(detection_for(Polygon(((x1 - 1, y0), (x1 + 1, y0), (x1 + 1, y1),
+                                           (x1 - 1, y1)))))   # a 1 px wide overlap
+        dets.append(detection_for(square_poly(float(rng.uniform(0, CANVAS - 8)),
+                                              float(rng.uniform(0, CANVAS - 8)), 8.0)))
+        dets.append(ScoredDetection(mask=BitMask.empty(CANVAS, CANVAS),
+                                    box=AxisBox(0.0, 0.0, 1.0, 1.0), score=0.5))
+        ignore = [bool(rng.random() < 0.3) for _ in polys]
+        return gt_set(polys, ignore=ignore), det_set(dets)
+
+    @pytest.mark.parametrize("thresh", [0.0, 0.01, 0.5])
+    def test_matches_ungated(self, rng, monkeypatch, thresh):
+        # textdetkit.evaluate is also a function exported by the package
+        evaluate_module = importlib.import_module("textdetkit.evaluate")
+        calls = []
+
+        def counting_region_iou(poly, pieces):
+            calls.append(1)
+            return region_iou(poly, pieces)
+
+        monkeypatch.setattr(evaluate_module, "region_iou", counting_region_iou)
+        pairs = 0
+        for _ in range(4):
+            gt, ds = self._scene(rng)
+            result = match_detections(gt, ds, iou_thresh=thresh)
+            matches, ignored = ungated_match(gt, ds, thresh)
+            assert result.matches == matches
+            assert result.ignored_detections == ignored
+            pairs += len(gt.instances) * len(ds.detections)
+        if thresh == 0.0:
+            assert len(calls) == pairs  # at 0 a zero-IoU pair is still a candidate
+        else:
+            assert len(calls) < pairs
+
+
 class TestComputeMetrics:
     def test_zero_tp(self):
         report = compute_metrics([], 4, 5)
@@ -212,9 +281,10 @@ class TestRegionIou:
 
     def test_multi_component_detection(self):
         gt = square_poly(0, 0, 8)
-        mask = BitMask.empty(CANVAS, CANVAS)
-        mask.bits[0:8, 0:4] = True
-        mask.bits[0:8, 20:24] = True  # second blob outside the gt
+        bits = np.zeros((CANVAS, CANVAS), bool)
+        bits[0:8, 0:4] = True
+        bits[0:8, 20:24] = True  # second blob outside the gt
+        mask = BitMask.from_array(bits)
         pieces = mask_to_polygons(mask)
         assert len(pieces) == 2
         got = region_iou(gt, pieces)

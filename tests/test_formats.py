@@ -6,7 +6,7 @@ import pytest
 from textdetkit import formats
 from textdetkit.errors import ParseError
 from textdetkit.evaluate import GroundTruthSet
-from textdetkit.geometry import AxisBox, BitMask, Polygon
+from textdetkit.geometry import AxisBox, BitMask, Polygon, polygon_to_mask
 from textdetkit.pseudolabel import PseudoLabel, ScoredDetection
 from textdetkit.suppress import DetectionSet
 
@@ -52,6 +52,15 @@ class TestRle:
         with pytest.raises(ParseError):
             formats.rle_decode({"width": 4, "height": 4, "counts": [3]})
 
+    @pytest.mark.parametrize("counts", [[0, 10.7, 6.0], [True, 15], [0, 16.0], ["16"]])
+    def test_non_integer_counts_rejected(self, counts):
+        with pytest.raises(ParseError, match="integer"):
+            formats.rle_decode({"width": 4, "height": 4, "counts": counts})
+
+    def test_zero_length_runs_accepted(self):
+        mask = formats.rle_decode({"width": 3, "height": 2, "counts": [1, 2, 0, 1, 2]})
+        assert mask.bits.tolist() == [[False, True, True], [True, False, False]]
+
 
 class TestDetectionFiles:
     def test_round_trip(self, tmp_path, rng):
@@ -84,6 +93,23 @@ class TestDetectionFiles:
         loaded = formats.load_detection_file(path)
         assert loaded.detections[0].mask.count() == 16
 
+    def test_polygon_pieces_are_united(self, tmp_path):
+        pieces = [[[2, 2], [6, 2], [6, 6], [2, 6]], [[4, 4], [9, 4], [9, 7], [4, 7]],
+                  [[12, 1], [14, 1], [14, 3], [12, 3]]]
+        doc = {
+            "schemaVersion": "1", "imageId": "img", "imageWidth": 16, "imageHeight": 16,
+            "sourceTag": "", "scaleFactor": 1.0,
+            "detections": [{"box": [2.0, 1.0, 14.0, 7.0], "score": 0.5, "polygons": pieces}],
+        }
+        path = tmp_path / "pieces.json"
+        path.write_text(json.dumps(doc))
+        want = np.zeros((16, 16), bool)
+        for piece in pieces:
+            want |= polygon_to_mask(Polygon(tuple(map(tuple, piece))), 16, 16).bits
+        mask = formats.load_detection_file(path).detections[0].mask
+        assert np.array_equal(mask.bits, want)
+        assert mask.foreground_box().as_tuple() == (2.0, 1.0, 14.0, 7.0)
+
     def test_unknown_schema_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"schemaVersion": "9"}')
@@ -114,6 +140,18 @@ class TestDetectionFiles:
         with pytest.raises(ParseError, match="score"):
             formats.load_detection_file(path)
 
+    def test_bool_score_rejected(self, tmp_path):
+        doc = {
+            "schemaVersion": "1", "imageId": "img", "imageWidth": 8, "imageHeight": 8,
+            "sourceTag": "", "scaleFactor": 1.0,
+            "detections": [{"box": [0.0, 0.0, 4.0, 4.0], "score": True,
+                            "polygon": [[0, 0], [4, 0], [4, 4], [0, 4]]}],
+        }
+        path = tmp_path / "score.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="score"):
+            formats.load_detection_file(path)
+
     def test_corrupt_json_rejected(self, tmp_path):
         path = tmp_path / "corrupt.json"
         path.write_text("{not json")
@@ -122,6 +160,18 @@ class TestDetectionFiles:
 
 
 class TestWeightedLabelFiles:
+    def test_bool_weight_rejected(self, tmp_path):
+        doc = {
+            "schemaVersion": "1", "imageId": "img", "imageWidth": 8, "imageHeight": 8,
+            "sourceTag": "fusion", "scaleFactor": 1.0,
+            "labels": [{"box": [0.0, 0.0, 4.0, 4.0], "weight": True,
+                        "mask": {"width": 8, "height": 8, "counts": [64]}}],
+        }
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="weight"):
+            formats.load_weighted_label_file(path)
+
     def test_empty_file_valid(self, tmp_path):
         path = tmp_path / "labels.json"
         formats.save_weighted_label_file(path, [], image_id="img", width=8, height=8)

@@ -155,26 +155,29 @@ class TestIoU:
 
 class TestMaskToPolygons:
     def test_filled_block(self):
-        m = BitMask.empty(10, 10)
-        m.bits[2:5, 2:5] = True
+        bits = np.zeros((10, 10), bool)
+        bits[2:5, 2:5] = True
+        m = BitMask.from_array(bits)
         polys = mask_to_polygons(m)
         assert len(polys) == 1
         assert len(polys[0].vertices) == 4
         assert polygon_area(polys[0]) == 9.0
 
     def test_two_blocks_two_polygons(self):
-        m = BitMask.empty(12, 12)
-        m.bits[1:3, 1:3] = True
-        m.bits[7:10, 7:10] = True
+        bits = np.zeros((12, 12), bool)
+        bits[1:3, 1:3] = True
+        bits[7:10, 7:10] = True
+        m = BitMask.from_array(bits)
         assert len(mask_to_polygons(m)) == 2
 
     def test_empty_mask(self):
         assert mask_to_polygons(BitMask.empty(5, 5)) == []
 
     def test_diagonal_pinch_single_component(self):
-        m = BitMask.empty(4, 4)
-        m.bits[0, 0] = True
-        m.bits[1, 1] = True
+        bits = np.zeros((4, 4), bool)
+        bits[0, 0] = True
+        bits[1, 1] = True
+        m = BitMask.from_array(bits)
         polys = mask_to_polygons(m)
         assert len(polys) == 1  # 8-connected, one outer contour
         assert polygon_area(polys[0]) == 2.0
@@ -210,8 +213,9 @@ class TestPolygonToMask:
             assert abs(m.count() - polygon_area(poly)) <= 0.02 * polygon_area(poly)
 
     def test_foreground_box(self):
-        m = BitMask.empty(10, 10)
-        m.bits[2:5, 3:7] = True
+        bits = np.zeros((10, 10), bool)
+        bits[2:5, 3:7] = True
+        m = BitMask.from_array(bits)
         box = m.foreground_box()
         assert box.as_tuple() == (3.0, 2.0, 7.0, 5.0)
         assert BitMask.empty(4, 4).foreground_box() is None

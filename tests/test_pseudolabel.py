@@ -262,6 +262,13 @@ class TestGeneratePseudoLabels:
         with pytest.raises(ConfigError):
             FusionConfig(iou_mode="polygon")
 
+    def test_nan_config_rejected(self):
+        with pytest.raises(ConfigError, match="iou_threshold"):
+            FusionConfig(iou_threshold=float("nan"))
+        with pytest.raises(ConfigError, match="alpha"):
+            FusionConfig(alpha=float("nan"))
+        FusionConfig(alpha=1.0)  # closed at 1
+
 
 class TestAttachWeights:
     def test_export_round_trips(self, tmp_path, rng):

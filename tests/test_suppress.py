@@ -224,3 +224,16 @@ class TestConfigValidation:
             SuppressConfig(mode="softest")
         with pytest.raises(ConfigError):
             SuppressConfig(iou_mode="pixel")
+
+    @pytest.mark.parametrize("field", ["iou_threshold", "sigma", "score_floor"])
+    def test_nan_rejected(self, field):
+        with pytest.raises(ConfigError, match=field):
+            SuppressConfig(**{field: float("nan")})
+
+    def test_boundaries(self):
+        SuppressConfig(score_floor=0.0)  # closed at 0
+        SuppressConfig(sigma=math.inf, score_floor=math.inf)
+        with pytest.raises(ConfigError):
+            SuppressConfig(score_floor=-1e-12)
+        with pytest.raises(ConfigError):
+            SuppressConfig(sigma=-1.0)
