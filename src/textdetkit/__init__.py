@@ -50,8 +50,7 @@ from .pseudolabel import (
     FusionConfig,
     PseudoLabel,
     ScoredDetection,
-    attach_weights_to_training,
-    generate_pseudo_labels,
+    fuse_detections,
     overlap_mask,
     soft_box,
 )
@@ -78,8 +77,7 @@ __all__ = [
     "layer_norm",
     "iou_box", "iou_mask", "iou_polygon", "polygon_area",
     "polygon_intersection", "mask_to_polygons", "polygon_to_mask",
-    "overlap_mask", "soft_box", "generate_pseudo_labels",
-    "attach_weights_to_training",
+    "fuse_detections", "overlap_mask", "soft_box",
     "nms", "soft_nms", "multi_scale_aggregate", "model_ensemble",
     "match_detections", "compute_metrics", "evaluate",
     "smooth_l1", "binary_cross_entropy", "softmax_cross_entropy", "total_loss",

@@ -177,11 +177,44 @@ def rle_decode(obj) -> BitMask:
 
 
 # ---------------------------------------------------------------------------
-# shared record helpers
+# image documents: a header, then one list of records
+#
+# Detection, weighted-label and ground-truth files share the layout
+# {schemaVersion, imageId, imageWidth, imageHeight, <fields>, <list_key>: [...]}.
 
 
-def _box_to_json(box: AxisBox) -> list:
-    return [box.xmin, box.ymin, box.xmax, box.ymax]
+def _write_image_doc(path, image_id, width, height, fields: dict) -> None:
+    if width is None or height is None:
+        raise ValueError(f"{path}: image width and height are needed to save the file")
+    write_canonical(path, {"schemaVersion": SCHEMA_VERSION, "imageId": image_id,
+                           "imageWidth": width, "imageHeight": height, **fields})
+
+
+def _read_image_doc(path, list_key):
+    """Returns (doc, image_id, width, height, records) of a checked document."""
+    doc = read_json(path)
+    _check_schema(doc, path)
+    if "imageId" not in doc:
+        raise ParseError(f"{path}: bad image header: no 'imageId'")
+    width = _json_int(doc.get("imageWidth"), f"{path}: imageWidth")
+    height = _json_int(doc.get("imageHeight"), f"{path}: imageHeight")
+    if width < 1 or height < 1:
+        raise ParseError(f"{path}: image dimensions must be positive, got {width}x{height}")
+    records = doc.get(list_key)
+    if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
+        raise ParseError(f"{path}: {list_key!r} must be a list of objects")
+    return doc, str(doc["imageId"]), width, height, records
+
+
+def _check_in_frame(what, coords, width, height, path) -> None:
+    """``coords`` [xmin, ymin, xmax, ymax] may overhang the canvas by 1 px;
+    NaN is never in frame."""
+    xmin, ymin, xmax, ymax = coords
+    if not (-_BOUNDS_SLACK <= xmin and -_BOUNDS_SLACK <= ymin
+            and xmax <= width + _BOUNDS_SLACK and ymax <= height + _BOUNDS_SLACK):
+        raise ParseError(
+            f"{path}: {what} {coords} outside image bounds {width}x{height} (+1 px slack)"
+        )
 
 
 def _box_from_json(raw, width, height, path) -> AxisBox:
@@ -191,36 +224,29 @@ def _box_from_json(raw, width, height, path) -> AxisBox:
         vals = [float(v) for v in raw]
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: non-numeric box coordinate") from exc
-    xmin, ymin, xmax, ymax = vals
-    if (xmin < -_BOUNDS_SLACK or ymin < -_BOUNDS_SLACK
-            or xmax > width + _BOUNDS_SLACK or ymax > height + _BOUNDS_SLACK):
-        raise ParseError(
-            f"{path}: box {vals} outside image bounds {width}x{height} (+1 px slack)"
-        )
+    _check_in_frame("box", vals, width, height, path)
     try:
-        return AxisBox(xmin, ymin, xmax, ymax)
+        return AxisBox(*vals)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _polygon_points_from_json(raw, width, height, path) -> list:
+def _polygon_from_json(raw, width, height, path) -> Polygon:
     if not isinstance(raw, list) or len(raw) < 3:
         raise ParseError(f"{path}: polygon must list >= 3 points")
-    pts = []
-    for p in raw:
-        try:
-            x, y = float(p[0]), float(p[1])
-        except (TypeError, ValueError, IndexError) as exc:
-            raise ParseError(f"{path}: bad polygon point {p!r}") from exc
-        if (x < -_BOUNDS_SLACK or y < -_BOUNDS_SLACK
-                or x > width + _BOUNDS_SLACK or y > height + _BOUNDS_SLACK):
-            raise ParseError(
-                f"{path}: polygon point ({x}, {y}) outside image bounds "
-                f"{width}x{height} (+1 px slack)"
-            )
-        # clamp the permitted 1 px overhang onto the canvas for rasterization
-        pts.append((min(max(x, 0.0), float(width)), min(max(y, 0.0), float(height))))
-    return pts
+    try:
+        pts = [(float(p[0]), float(p[1])) for p in raw]
+    except (TypeError, ValueError, LookupError) as exc:
+        raise ParseError(f"{path}: polygon points must be [x, y] number pairs") from exc
+    xs, ys = zip(*pts)
+    _check_in_frame("polygon extent", [min(xs), min(ys), max(xs), max(ys)], width, height, path)
+    # clamp the permitted 1 px overhang onto the canvas for rasterization; a
+    # NaN vertex survives the clamp and is rejected by Polygon
+    w, h = float(width), float(height)
+    try:
+        return Polygon(tuple((min(max(x, 0.0), w), min(max(y, 0.0), h)) for x, y in pts))
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def _mask_from_record(record, width, height, path) -> BitMask:
@@ -237,14 +263,8 @@ def _mask_from_record(record, width, height, path) -> BitMask:
         polys = [record["polygon"]]
     if not polys:
         raise ParseError(f"{path}: record carries neither a mask nor polygons")
-    masks = []
-    for raw in polys:
-        pts = _polygon_points_from_json(raw, width, height, path)
-        try:
-            poly = Polygon(tuple(pts))
-        except ValueError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-        masks.append(polygon_to_mask(poly, width, height))
+    masks = [polygon_to_mask(_polygon_from_json(raw, width, height, path), width, height)
+             for raw in polys]
     pieces = [m for m in masks if not m.is_empty()] or masks[:1]
     if len(pieces) == 1:
         return pieces[0]
@@ -258,86 +278,53 @@ def _mask_from_record(record, width, height, path) -> BitMask:
     return BitMask.from_crop(width, height, x0, y0, bits)
 
 
-def _unit_interval(record, key, path) -> float:
-    raw = record.get(key)
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ParseError(f"{path}: missing or non-numeric {key!r}: {raw!r}")
-    value = float(raw)
-    if not 0.0 <= value <= 1.0:
-        raise ParseError(f"{path}: {key} {value} outside [0, 1]")
-    return value
+def _scored_record(item, value_key: str, value: float) -> dict:
+    return {"box": [item.box.xmin, item.box.ymin, item.box.xmax, item.box.ymax],
+            value_key: value, "mask": rle_encode(item.mask)}
 
 
-def _image_header(doc, path):
-    try:
-        image_id = str(doc["imageId"])
-        width = int(doc["imageWidth"])
-        height = int(doc["imageHeight"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: bad image header: {exc}") from exc
-    if width < 1 or height < 1:
-        raise ParseError(f"{path}: image dimensions must be positive, got {width}x{height}")
-    return image_id, width, height
+def _read_scored_records(path, list_key: str, value_key: str):
+    """Returns (doc, image_id, width, height, [(value, box, mask), ...]), where
+    each value is a JSON number in [0, 1]."""
+    doc, image_id, width, height, records = _read_image_doc(path, list_key)
+    rows = []
+    for record in records:
+        value = record.get(value_key)
+        if type(value) not in (int, float) or not 0.0 <= value <= 1.0:
+            raise ParseError(f"{path}: {value_key} must be a number in [0, 1], got {value!r}")
+        rows.append((float(value), _box_from_json(record.get("box"), width, height, path),
+                     _mask_from_record(record, width, height, path)))
+    return doc, image_id, width, height, rows
 
 
 # ---------------------------------------------------------------------------
 # detection files
 
 
-def save_detection_file(path, det_set: DetectionSet, include_polygons: bool = False) -> None:
-    if det_set.image_width is None or det_set.image_height is None:
-        raise ValueError("detection set needs image_width/image_height to be saved")
-    records = []
-    for det in det_set.detections:
-        record = {
-            "box": _box_to_json(det.box),
-            "score": det.score,
-            "mask": rle_encode(det.mask),
-        }
-        if include_polygons:
-            record["polygons"] = [
-                [[x, y] for x, y in poly.vertices] for poly in mask_to_polygons(det.mask)
-            ]
-        records.append(record)
-    write_canonical(path, {
-        "schemaVersion": SCHEMA_VERSION,
-        "imageId": det_set.image_id,
-        "imageWidth": det_set.image_width,
-        "imageHeight": det_set.image_height,
+def save_detection_file(path, det_set: DetectionSet) -> None:
+    _write_image_doc(path, det_set.image_id, det_set.image_width, det_set.image_height, {
         "sourceTag": det_set.source_tag,
         "scaleFactor": det_set.scale_factor,
-        "detections": records,
+        "detections": [_scored_record(det, "score", det.score) for det in det_set.detections],
     })
 
 
 def load_detection_file(path) -> DetectionSet:
-    doc = read_json(path)
-    _check_schema(doc, path)
-    image_id, width, height = _image_header(doc, path)
-    raw_dets = doc.get("detections")
-    if not isinstance(raw_dets, list):
-        raise ParseError(f"{path}: 'detections' must be a list")
+    doc, image_id, width, height, rows = _read_scored_records(path, "detections", "score")
     detections = []
-    for record in raw_dets:
-        if not isinstance(record, dict):
-            raise ParseError(f"{path}: detection record must be an object")
-        score = _unit_interval(record, "score", path)
-        box = _box_from_json(record.get("box"), width, height, path)
-        mask = _mask_from_record(record, width, height, path)
+    for score, box, mask in rows:
         det = ScoredDetection(mask=mask, box=box, score=score)
         try:
             det.validate()
         except ValueError as exc:
             raise ParseError(f"{path}: {exc}") from exc
         detections.append(det)
-    return DetectionSet(
-        image_id=image_id,
-        detections=detections,
-        source_tag=str(doc.get("sourceTag", "")),
-        image_width=width,
-        image_height=height,
-        scale_factor=float(doc.get("scaleFactor", 1.0)),
-    )
+    scale = doc.get("scaleFactor", 1.0)
+    if type(scale) not in (int, float) or not 0.0 < scale < math.inf:
+        raise ParseError(f"{path}: scaleFactor must be a finite number > 0, got {scale!r}")
+    return DetectionSet(image_id=image_id, detections=detections,
+                        source_tag=str(doc.get("sourceTag", "")), image_width=width,
+                        image_height=height, scale_factor=float(scale))
 
 
 # ---------------------------------------------------------------------------
@@ -355,45 +342,22 @@ class WeightedLabelSet:
 
 def save_weighted_label_file(path, labels, image_id: str, width: int, height: int,
                              source_tag: str = "fusion") -> None:
+    """Per label: the box, the weight, the mask and its contour polygons."""
     records = []
     for label in labels:
-        records.append({
-            "box": _box_to_json(label.box),
-            "weight": label.weight,
-            "mask": rle_encode(label.mask),
-            "polygons": [
-                [[x, y] for x, y in poly.vertices] for poly in mask_to_polygons(label.mask)
-            ],
-        })
-    write_canonical(path, {
-        "schemaVersion": SCHEMA_VERSION,
-        "imageId": image_id,
-        "imageWidth": width,
-        "imageHeight": height,
-        "sourceTag": source_tag,
-        "scaleFactor": 1.0,
-        "labels": records,
-    })
+        record = _scored_record(label, "weight", label.weight)
+        record["polygons"] = [[[x, y] for x, y in poly.vertices]
+                              for poly in mask_to_polygons(label.mask)]
+        records.append(record)
+    _write_image_doc(path, image_id, width, height,
+                     {"sourceTag": source_tag, "scaleFactor": 1.0, "labels": records})
 
 
 def load_weighted_label_file(path) -> WeightedLabelSet:
-    doc = read_json(path)
-    _check_schema(doc, path)
-    image_id, width, height = _image_header(doc, path)
-    raw = doc.get("labels")
-    if not isinstance(raw, list):
-        raise ParseError(f"{path}: 'labels' must be a list")
-    labels = []
-    for record in raw:
-        if not isinstance(record, dict):
-            raise ParseError(f"{path}: label record must be an object")
-        weight = _unit_interval(record, "weight", path)
-        box = _box_from_json(record.get("box"), width, height, path)
-        mask = _mask_from_record(record, width, height, path)
-        labels.append(PseudoLabel(mask=mask, box=box, weight=weight))
+    doc, image_id, width, height, rows = _read_scored_records(path, "labels", "weight")
     return WeightedLabelSet(
         image_id=image_id,
-        labels=labels,
+        labels=[PseudoLabel(mask=mask, box=box, weight=weight) for weight, box, mask in rows],
         source_tag=str(doc.get("sourceTag", "")),
         image_width=width,
         image_height=height,
@@ -405,48 +369,23 @@ def load_weighted_label_file(path) -> WeightedLabelSet:
 
 
 def save_ground_truth_file(path, gt: GroundTruthSet) -> None:
-    if gt.image_width is None or gt.image_height is None:
-        raise ValueError("ground truth set needs image_width/image_height to be saved")
-    instances = []
-    for poly, ignore in zip(gt.instances, gt.ignore_flags):
-        instances.append({
-            "polygon": [[x, y] for x, y in poly.vertices],
-            "ignore": bool(ignore),
-        })
-    write_canonical(path, {
-        "schemaVersion": SCHEMA_VERSION,
-        "imageId": gt.image_id,
-        "imageWidth": gt.image_width,
-        "imageHeight": gt.image_height,
-        "instances": instances,
-    })
+    _write_image_doc(path, gt.image_id, gt.image_width, gt.image_height, {"instances": [
+        {"polygon": [[x, y] for x, y in poly.vertices], "ignore": bool(ignore)}
+        for poly, ignore in zip(gt.instances, gt.ignore_flags)
+    ]})
 
 
 def load_ground_truth_file(path) -> GroundTruthSet:
-    doc = read_json(path)
-    _check_schema(doc, path)
-    image_id, width, height = _image_header(doc, path)
-    raw = doc.get("instances")
-    if not isinstance(raw, list):
-        raise ParseError(f"{path}: 'instances' must be a list")
-    instances = []
-    flags = []
-    for record in raw:
-        if not isinstance(record, dict):
-            raise ParseError(f"{path}: instance record must be an object")
-        pts = _polygon_points_from_json(record.get("polygon"), width, height, path)
-        try:
-            instances.append(Polygon(tuple(pts)))
-        except ValueError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-        flags.append(bool(record.get("ignore", False)))
-    return GroundTruthSet(
-        image_id=image_id,
-        instances=instances,
-        ignore_flags=flags,
-        image_width=width,
-        image_height=height,
-    )
+    _, image_id, width, height, records = _read_image_doc(path, "instances")
+    instances, flags = [], []
+    for record in records:
+        instances.append(_polygon_from_json(record.get("polygon"), width, height, path))
+        ignore = record.get("ignore", False)
+        if type(ignore) is not bool:
+            raise ParseError(f"{path}: 'ignore' must be true or false, got {ignore!r}")
+        flags.append(ignore)
+    return GroundTruthSet(image_id=image_id, instances=instances, ignore_flags=flags,
+                          image_width=width, image_height=height)
 
 
 # ---------------------------------------------------------------------------
@@ -503,8 +442,11 @@ def load_tensor_file(path):
                 f"{path}: tensor {name!r} declares shape {shape} "
                 f"({expected} values) but carries {len(data)}"
             )
+        arr = np.asarray(data, dtype=np.float64)
+        if not np.isfinite(arr).all():
+            raise ParseError(f"{path}: tensor {name!r} holds a non-finite value")
         payload[name] = {"shape": shape, "data": data}
-        tensors[name] = np.asarray(data, dtype=np.float64).reshape(shape)
+        tensors[name] = arr.reshape(shape)
     stored = doc.get("checksum")
     actual = tensor_checksum(payload)
     if stored != actual:

@@ -19,6 +19,7 @@ anchors; rotate the roles externally to compare all three outcomes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,58 +188,32 @@ def fuse_detections(det_a, det_b, det_c, cfg: FusionConfig | None = None) -> Fus
     det_a, det_b, det_c = list(det_a), list(det_b), list(det_c)
     _check_dimensions(det_a, det_b, det_c)
     order = sorted(range(len(det_a)), key=lambda i: (-det_a[i].score, i))
-    taken_b = [False] * len(det_b)
-    taken_c = [False] * len(det_c)
+    pools = [(det_b, [False] * len(det_b)), (det_c, [False] * len(det_c))]
     outcome = FusionOutcome(labels=[])
     for i in order:
         anchor = det_a[i]
-        j = _claim_best(anchor, det_b, taken_b, cfg)
-        k = _claim_best(anchor, det_c, taken_c, cfg)
-        if j is not None and k is not None:
-            taken_b[j] = True
-            taken_c[k] = True
-            b, c = det_b[j], det_c[k]
-            outcome.labels.append(PseudoLabel(
-                mask=overlap_mask([anchor.mask, b.mask, c.mask]),
-                box=soft_box([anchor.box, b.box, c.box]),
-                weight=anchor.score * b.score * c.score,
-            ))
-            outcome.triples += 1
-        elif j is not None:
-            taken_b[j] = True
-            b = det_b[j]
-            outcome.labels.append(PseudoLabel(
-                mask=overlap_mask([anchor.mask, b.mask]),
-                box=soft_box([anchor.box, b.box]),
-                weight=anchor.score * b.score * cfg.alpha,
-            ))
-            outcome.pairs_b += 1
-        elif k is not None:
-            taken_c[k] = True
-            c = det_c[k]
-            outcome.labels.append(PseudoLabel(
-                mask=overlap_mask([anchor.mask, c.mask]),
-                box=soft_box([anchor.box, c.box]),
-                weight=anchor.score * c.score * cfg.alpha,
-            ))
-            outcome.pairs_c += 1
-        else:
+        found = [_claim_best(anchor, pool, taken, cfg) for pool, taken in pools]
+        group = [anchor]
+        for (pool, taken), idx in zip(pools, found):
+            if idx is not None:
+                taken[idx] = True
+                group.append(pool[idx])
+        if len(group) == 1:
             outcome.dropped += 1
+            continue
+        # score product left to right, decayed when only one other set confirms
+        weight = math.prod(d.score for d in group)
+        if len(group) == 2:
+            weight *= cfg.alpha
+        outcome.labels.append(PseudoLabel(
+            mask=overlap_mask([d.mask for d in group]),
+            box=soft_box([d.box for d in group]),
+            weight=weight,
+        ))
+        if len(group) == 3:
+            outcome.triples += 1
+        elif found[0] is not None:
+            outcome.pairs_b += 1
+        else:
+            outcome.pairs_c += 1
     return outcome
-
-
-def generate_pseudo_labels(det_a, det_b, det_c, cfg: FusionConfig | None = None) -> list:
-    """Pseudo labels from three detection sets (see module docstring)."""
-    return fuse_detections(det_a, det_b, det_c, cfg).labels
-
-
-def attach_weights_to_training(labels, path, image_id: str, width: int, height: int,
-                               source_tag: str = "fusion") -> None:
-    """Serialize labels as a weighted-label file: per label the polygon
-    contours derived from its mask, the mask itself, the box, and the weight."""
-    from . import formats
-
-    formats.save_weighted_label_file(
-        path, labels, image_id=image_id, width=width, height=height,
-        source_tag=source_tag,
-    )

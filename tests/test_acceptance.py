@@ -34,7 +34,6 @@ from textdetkit.pseudolabel import (
     FusionConfig,
     ScoredDetection,
     fuse_detections,
-    generate_pseudo_labels,
 )
 from textdetkit.suppress import DetectionSet, SuppressConfig, soft_nms
 
@@ -148,7 +147,7 @@ def test_criterion_2_pseudo_label_oracle():
         det_c = det_c[:20]
         got = sorted(
             (l.mask.bits.tobytes(), l.box.as_tuple(), l.weight)
-            for l in generate_pseudo_labels(det_a, det_b, det_c, cfg)
+            for l in fuse_detections(det_a, det_b, det_c, cfg).labels
         )
         want = sorted(oracle_fuse(det_a, det_b, det_c, cfg.iou_threshold, cfg.alpha))
         ok &= got == want
@@ -156,19 +155,19 @@ def test_criterion_2_pseudo_label_oracle():
     bits = np.zeros((64, 64), dtype=bool)
     bits[8:24, 8:40] = True
     mask = BitMask.from_array(bits)
-    triple = generate_pseudo_labels(
+    triple = fuse_detections(
         [ScoredDetection.from_mask(mask, 0.9)],
         [ScoredDetection.from_mask(mask, 0.8)],
         [ScoredDetection.from_mask(mask, 0.9)],
         cfg,
-    )
+    ).labels
     ok &= len(triple) == 1 and abs(triple[0].weight - 0.648) <= 1e-12
-    pair = generate_pseudo_labels(
+    pair = fuse_detections(
         [ScoredDetection.from_mask(mask, 0.9)],
         [ScoredDetection.from_mask(mask, 0.8)],
         [],
         cfg,
-    )
+    ).labels
     ok &= len(pair) == 1 and abs(pair[0].weight - 0.36) <= 1e-12
     elapsed = time.monotonic() - start
     report(2, "ensemble fusion oracle equivalence", ok and elapsed < 60.0)

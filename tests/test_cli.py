@@ -217,6 +217,60 @@ class TestFieldTypes:
         assert self._nms_on_record(tmp_path, record) == 0
 
 
+class TestMalformedInputs:
+    """Values that used to escape as tracebacks: each exits 2 with an error line."""
+
+    @staticmethod
+    def _detection_file(path, scale):
+        doc = {"schemaVersion": "1", "imageId": "img", "imageWidth": CANVAS,
+               "imageHeight": CANVAS, "sourceTag": "m", "scaleFactor": scale,
+               "detections": []}
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize("scale", ["abc", None, [1], True, 0, -1.5,
+                                       float("nan"), float("inf")])
+    def test_bad_scale_factor_nms_exit_2(self, tmp_path, capsys, scale):
+        src = self._detection_file(tmp_path / "in.json", scale)
+        assert main(["nms", "--in", src, "--out", str(tmp_path / "o.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "scaleFactor" in err
+
+    @pytest.mark.parametrize("scale", ["abc", None, [1]])
+    def test_bad_scale_factor_fuse_exit_2(self, tmp_path, capsys, scale):
+        bad = self._detection_file(tmp_path / "bad.json", scale)
+        ok = tmp_path / "ok.json"
+        write_detection_file(ok, [])
+        assert main(["fuse", "--det-a", str(ok), "--det-b", bad, "--det-c", str(ok),
+                     "--out", str(tmp_path / "o.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "scaleFactor" in err
+
+    @pytest.mark.parametrize("scale", ["abc", None, [1]])
+    def test_bad_scale_factor_eval_exit_2(self, tmp_path, capsys, scale):
+        gt = tmp_path / "gt.json"
+        formats.save_ground_truth_file(gt, GroundTruthSet("img", [], [], CANVAS, CANVAS))
+        det = self._detection_file(tmp_path / "det.json", scale)
+        assert main(["eval", "--gt", str(gt), "--det", det]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "scaleFactor" in err
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("which", ["weights", "input"])
+    def test_non_finite_tensor_exit_2(self, tmp_path, capsys, rng, bad, which):
+        config, tensors = multipath.to_named_tensors(multipath.CascadeConfig.zeros(2))
+        paths = {"weights": tmp_path / "weights.json", "input": tmp_path / "input.json"}
+        formats.save_tensor_file(paths["weights"], tensors, module="intra", config=config)
+        formats.save_tensor_file(paths["input"], {"input": rng.normal(size=(2, 5, 5))})
+        doc = json.loads(paths[which].read_text())
+        next(iter(doc["tensors"].values()))["data"][0] = bad
+        paths[which].write_text(json.dumps(doc))  # Python's json writes NaN / Infinity
+        assert main(["forward", "--module", "intra", "--weights", str(paths["weights"]),
+                     "--input", str(paths["input"]), "--out", str(tmp_path / "o.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "non-finite" in err
+
+
 class TestEval:
     def _write_gt(self, path, polys, ignore=None):
         gt = GroundTruthSet("img", list(polys), list(ignore or [False] * len(polys)),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -11,6 +12,18 @@ from textdetkit.pseudolabel import PseudoLabel, ScoredDetection
 from textdetkit.suppress import DetectionSet
 
 from conftest import random_blob_mask, random_detections
+
+
+_SQUARE = [[0, 0], [4, 0], [4, 4], [0, 4]]
+
+
+def _image_doc(list_key, record, **header):
+    return {"schemaVersion": "1", "imageId": "img", "imageWidth": 8, "imageHeight": 8,
+            **header, list_key: [record]}
+
+
+_DET = {"box": [0.0, 0.0, 4.0, 4.0], "score": 0.5, "polygon": _SQUARE}
+_LABEL = {"box": [0.0, 0.0, 4.0, 4.0], "weight": 0.5, "polygon": _SQUARE}
 
 
 class TestCanonicalJson:
@@ -230,6 +243,24 @@ class TestGroundTruthFiles:
         assert loaded.ignore_flags == [False, True]
         assert loaded.instances[0].vertices == gt.instances[0].vertices
 
+    @pytest.mark.parametrize("polygon, error", [
+        ([[-1, -1], [9, -1], [9, 9]], None),  # the 1 px overhang is clamped
+        ([[-1.5, 0], [4, 0], [4, 4]], "bounds"),
+        ([[0, 0], [4, 0], [4, 9.5]], "bounds"),
+        ([[0, 0], [4, 0], [float("nan"), 4]], "finite"),
+        ([[0, 0], [4, 0], {"x": 4}], "pairs"),
+        ([[0, 0], [4, 0], [4]], "pairs"),
+    ])
+    def test_polygon_points(self, tmp_path, polygon, error):
+        path = tmp_path / "gt.json"
+        path.write_text(json.dumps(_image_doc("instances", {"polygon": polygon})))
+        if error is None:
+            poly = formats.load_ground_truth_file(path).instances[0]
+            assert set(poly.vertices) == {(0.0, 0.0), (8.0, 0.0), (8.0, 8.0)}
+        else:
+            with pytest.raises(ParseError, match=error):
+                formats.load_ground_truth_file(path)
+
     def test_random_round_trips(self, tmp_path, rng):
         for case in range(10):
             n = int(rng.integers(1, 5))
@@ -248,6 +279,112 @@ class TestGroundTruthFiles:
             assert loaded.ignore_flags == flags
             for got, want in zip(loaded.instances, instances):
                 assert got.vertices == want.vertices
+
+
+class TestHeaderAndFlagTypes:
+    """Image sizes must be JSON integers and don't-care flags JSON bools; values
+    that only look like them are parse errors, not silent conversions."""
+
+    @pytest.mark.parametrize("load, doc, match", [
+        (formats.load_detection_file, _image_doc("detections", _DET, imageWidth=32.7),
+         "imageWidth"),
+        (formats.load_detection_file, _image_doc("detections", _DET, imageWidth="32"),
+         "imageWidth"),
+        (formats.load_detection_file, _image_doc("detections", _DET, imageHeight=True),
+         "imageHeight"),
+        (formats.load_weighted_label_file, _image_doc("labels", _LABEL, imageWidth=8.0),
+         "imageWidth"),
+        (formats.load_ground_truth_file,
+         _image_doc("instances", {"polygon": _SQUARE}, imageHeight=None), "imageHeight"),
+        (formats.load_ground_truth_file,
+         _image_doc("instances", {"polygon": _SQUARE, "ignore": "false"}), "ignore"),
+        (formats.load_ground_truth_file,
+         _image_doc("instances", {"polygon": _SQUARE, "ignore": 1}), "ignore"),
+        (formats.load_ground_truth_file,
+         _image_doc("instances", {"polygon": _SQUARE, "ignore": None}), "ignore"),
+    ])
+    def test_loose_values_rejected(self, tmp_path, load, doc, match):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=match):
+            load(path)
+
+    def test_ignore_defaults_to_false(self, tmp_path):
+        path = tmp_path / "gt.json"
+        path.write_text(json.dumps(_image_doc("instances", {"polygon": _SQUARE})))
+        assert formats.load_ground_truth_file(path).ignore_flags == [False]
+
+
+def _golden_inputs():
+    """Fixed writer inputs: odd float digits, a non-ASCII tag, a mask whose run
+    wraps the right edge, a multi-component label mask with a hole, and a
+    don't-care GT instance."""
+    w, h = 20, 12
+    rect = np.zeros((h, w), bool)
+    rect[2:6, 3:9] = True
+    wrap = np.zeros((h, w), bool)
+    wrap[6, 17:] = True
+    wrap[7, :2] = True
+    ell = np.zeros((h, w), bool)
+    ell[1:5, 10:12] = True
+    ell[3:5, 12:15] = True
+    dets = [
+        ScoredDetection.from_mask(BitMask.from_array(rect), 0.9),
+        ScoredDetection(mask=BitMask.from_array(wrap), box=AxisBox(0, 6, 20, 8), score=1 / 3),
+        ScoredDetection(mask=BitMask.from_array(ell), box=AxisBox(9.5, 0.25, 15.0, 5.0),
+                        score=1),
+    ]
+    det_set = DetectionSet("golden-7", dets, source_tag="mödel-a",
+                           image_width=w, image_height=h, scale_factor=1.5)
+    blobs = np.zeros((h, w), bool)
+    blobs[1:6, 1:6] = True
+    blobs[3, 3] = False  # a hole
+    blobs[7:10, 12:18] = True
+    blobs[9, 19] = True
+    labels = [
+        PseudoLabel(mask=BitMask.from_array(blobs), box=AxisBox(1, 1, 20, 10),
+                    weight=0.9 * 0.8 * 0.7),
+        PseudoLabel(mask=BitMask.from_array(rect), box=AxisBox(2.5, 2, 9, 6.125),
+                    weight=0.6 * 0.7 * 0.5),
+    ]
+    gt = GroundTruthSet(
+        "golden-7",
+        [Polygon(((1.5, 2.25), (8.0, 2.0), (8.75, 6.5), (1.0, 6.0))),
+         Polygon(((12, 7), (18, 7), (18, 10), (12, 10)))],
+        [False, True], image_width=w, image_height=h,
+    )
+    return det_set, labels, gt
+
+
+class TestWriterGoldenBytes:
+    """The writers' exact output bytes, pinned: key order, float digits and
+    record order may not drift."""
+
+    def _digest(self, path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_detection_file(self, tmp_path):
+        det_set, _, _ = _golden_inputs()
+        path = tmp_path / "dets.json"
+        formats.save_detection_file(path, det_set)
+        assert self._digest(path) == "e676c99d9ea8344a1d35e08a6d36706a6886f4a1bd496bddcd064ca5f8f1f4cb"
+
+    def test_weighted_label_file(self, tmp_path):
+        _, labels, _ = _golden_inputs()
+        path = tmp_path / "labels.json"
+        formats.save_weighted_label_file(path, labels, image_id="golden-7", width=20, height=12)
+        assert self._digest(path) == "2d8c6fd93a2a9d72f817d61d07c8c6f3293a35ed459f1e4f4f699fe90029715e"
+
+    def test_ground_truth_file(self, tmp_path):
+        _, _, gt = _golden_inputs()
+        path = tmp_path / "gt.json"
+        formats.save_ground_truth_file(path, gt)
+        assert path.read_bytes() == (
+            b'{"schemaVersion":"1","imageId":"golden-7","imageWidth":20,"imageHeight":12,'
+            b'"instances":[{"polygon":[[1.5,2.25],[8.0,2.0],[8.75,6.5],[1.0,6.0]],'
+            b'"ignore":false},{"polygon":[[12.0,7.0],[18.0,7.0],[18.0,10.0],[12.0,10.0]],'
+            b'"ignore":true}]}\n'
+        )
 
 
 class TestTensorFiles:

@@ -8,7 +8,6 @@ from textdetkit.pseudolabel import (
     PseudoLabel,
     ScoredDetection,
     fuse_detections,
-    generate_pseudo_labels,
     overlap_mask,
     soft_box,
 )
@@ -154,7 +153,7 @@ class TestGeneratePseudoLabels:
         a = square_detection(4, 4, 10, 0.9)
         b = square_detection(4, 4, 10, 0.8)
         c = square_detection(4, 4, 10, 0.9)
-        labels = generate_pseudo_labels([a], [b], [c])
+        labels = fuse_detections([a], [b], [c]).labels
         assert len(labels) == 1
         assert abs(labels[0].weight - 0.648) <= 1e-12
         assert labels[0].mask == a.mask
@@ -163,9 +162,23 @@ class TestGeneratePseudoLabels:
     def test_pair_weight_decayed(self):
         a = square_detection(4, 4, 10, 0.9)
         b = square_detection(4, 4, 10, 0.8)
-        labels = generate_pseudo_labels([a], [b], [])
+        labels = fuse_detections([a], [b], []).labels
         assert len(labels) == 1
         assert abs(labels[0].weight - 0.36) <= 1e-12
+
+    def test_outcome_counts_name_the_confirming_sets(self):
+        a = square_detection(4, 4, 10, 0.9)
+        b = square_detection(4, 4, 10, 0.8)
+        far = square_detection(30, 30, 6, 0.9)
+
+        def counts(*sets):
+            o = fuse_detections(*sets)
+            return (o.triples, o.pairs_b, o.pairs_c, o.dropped)
+
+        assert counts([a], [b], [b]) == (1, 0, 0, 0)
+        assert counts([a], [b], [far]) == (0, 1, 0, 0)
+        assert counts([a], [far], [b]) == (0, 0, 1, 0)
+        assert counts([a], [far], [far]) == (0, 0, 0, 1)
 
     def test_unconfirmed_anchor_dropped(self):
         a = square_detection(4, 4, 10, 0.9)
@@ -194,7 +207,7 @@ class TestGeneratePseudoLabels:
             det_c = random_detections(rng, int(rng.integers(0, 8)), 48, 48, jitter=3)
             got = [
                 (l.mask.bits.tobytes(), l.box.as_tuple(), l.weight)
-                for l in generate_pseudo_labels(det_a, det_b, det_c, cfg)
+                for l in fuse_detections(det_a, det_b, det_c, cfg).labels
             ]
             want = oracle_fuse(det_a, det_b, det_c, cfg.iou_threshold, cfg.alpha)
             assert sorted(got) == sorted(want)
@@ -205,7 +218,7 @@ class TestGeneratePseudoLabels:
         det_b = random_detections(rng, 6, 48, 48, jitter=2)
         det_c = random_detections(rng, 6, 48, 48, jitter=2)
         scores = [d.score for d in det_a + det_b + det_c]
-        for label in generate_pseudo_labels(det_a, det_b, det_c, cfg):
+        for label in fuse_detections(det_a, det_b, det_c, cfg).labels:
             assert label.weight <= max(scores)
             assert 0.0 <= label.weight <= 1.0
 
@@ -214,7 +227,7 @@ class TestGeneratePseudoLabels:
         det_a = random_detections(rng, 5, 48, 48)
         det_b = random_detections(rng, 5, 48, 48, jitter=1)
         det_c = random_detections(rng, 5, 48, 48, jitter=1)
-        labels = generate_pseudo_labels(det_a, det_b, det_c, cfg)
+        labels = fuse_detections(det_a, det_b, det_c, cfg).labels
         assert len(labels) <= len(det_a)
         union_a = np.zeros((48, 48), dtype=bool)
         for d in det_a:
@@ -236,8 +249,8 @@ class TestGeneratePseudoLabels:
         det_a = random_detections(rng, 8, 48, 48)
         det_b = random_detections(rng, 8, 48, 48, jitter=2)
         det_c = random_detections(rng, 8, 48, 48, jitter=2)
-        first = generate_pseudo_labels(det_a, det_b, det_c)
-        second = generate_pseudo_labels(det_a, det_b, det_c)
+        first = fuse_detections(det_a, det_b, det_c).labels
+        second = fuse_detections(det_a, det_b, det_c).labels
         assert label_multiset(first) == label_multiset(second)
         assert [l.weight for l in first] == [l.weight for l in second]
 
@@ -245,13 +258,13 @@ class TestGeneratePseudoLabels:
         det_a = random_detections(rng, 2, 48, 48)
         det_b = random_detections(rng, 2, 32, 32)
         with pytest.raises(ShapeError):
-            generate_pseudo_labels(det_a, det_b, [])
+            fuse_detections(det_a, det_b, []).labels
 
     def test_box_iou_mode(self):
         a = square_detection(4, 4, 10, 0.9)
         b = square_detection(5, 4, 10, 0.8)  # box IoU 9/11 > 0.8 threshold fails; use lower
         cfg = FusionConfig(iou_threshold=0.7, iou_mode="box")
-        labels = generate_pseudo_labels([a], [b], [], cfg)
+        labels = fuse_detections([a], [b], [], cfg).labels
         assert len(labels) == 1
 
     def test_bad_config(self):
@@ -273,13 +286,12 @@ class TestGeneratePseudoLabels:
 class TestAttachWeights:
     def test_export_round_trips(self, tmp_path, rng):
         from textdetkit import formats
-        from textdetkit.pseudolabel import attach_weights_to_training
 
         det_a = random_detections(rng, 6, 32, 32)
         det_b = [ScoredDetection.from_mask(d.mask, d.score * 0.9) for d in det_a]
-        labels = generate_pseudo_labels(det_a, det_b, [], FusionConfig(iou_threshold=0.5))
+        labels = fuse_detections(det_a, det_b, [], FusionConfig(iou_threshold=0.5)).labels
         path = tmp_path / "labels.json"
-        attach_weights_to_training(labels, path, image_id="img", width=32, height=32)
+        formats.save_weighted_label_file(path, labels, image_id="img", width=32, height=32)
         loaded = formats.load_weighted_label_file(path)
         assert len(loaded.labels) == len(labels)
         for got, want in zip(loaded.labels, labels):
