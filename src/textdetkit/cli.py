@@ -156,8 +156,7 @@ def _forward_intra(config, tensors, inputs):
     cfg = multipath.from_named_tensors(config, tensors)
     if "input" not in inputs:
         raise ShapeError("input file must carry a tensor named 'input'")
-    out = multipath.cascade_forward(as_tensor(inputs["input"], "input"), cfg)
-    return out, {"output": out}
+    return multipath.cascade_forward(as_tensor(inputs["input"], "input"), cfg)
 
 
 def _forward_inter(config, tensors, inputs):
@@ -170,36 +169,39 @@ def _forward_inter(config, tensors, inputs):
         if name not in inputs:
             raise ShapeError(f"input file must carry a tensor named {name!r}")
         pyramid.append(as_tensor(inputs[name], name))
-    out = instance_attention.forward(inputs["roi"], pyramid, cfg)
-    return out, {"output": out}
+    return instance_attention.forward(inputs["roi"], pyramid, cfg)
+
+
+def _module(name: str):
+    """(library module, forward runner) for a ``--module`` value."""
+    modules = {"intra": (multipath, _forward_intra), "inter": (instance_attention, _forward_inter)}
+    if name not in modules:
+        raise ConfigError(f"--module must be 'intra' or 'inter', got {name!r}")
+    return modules[name]
 
 
 def cmd_forward(args) -> int:
-    if args.module not in ("intra", "inter"):
-        raise ConfigError(f"--module must be 'intra' or 'inter', got {args.module!r}")
+    _, runner = _module(args.module)
     module, config, tensors = formats.load_tensor_file(args.weights)
     if module != args.module:
         raise ConfigError(f"weights file is for module {module!r}, not {args.module!r}")
     if not isinstance(config, dict):
         raise ConfigError("weights file carries no config object")
     _, _, inputs = formats.load_tensor_file(args.input)
-    runner = _forward_intra if args.module == "intra" else _forward_inter
-    out, payload = runner(config, tensors, inputs)
-    formats.save_tensor_file(args.out, payload)
+    out = runner(config, tensors, inputs)
+    formats.save_tensor_file(args.out, {"output": out})
     print(f"output shape: {list(out.shape)}")
     return EXIT_OK
 
 
 def cmd_params(args) -> int:
-    if args.module not in ("intra", "inter"):
-        raise ConfigError(f"--module must be 'intra' or 'inter', got {args.module!r}")
+    mod, _ = _module(args.module)
     try:
         config = formats.read_json(args.config)
     except ParseError as exc:
         raise ConfigError(str(exc)) from exc
     if not isinstance(config, dict):
         raise ConfigError(f"{args.config}: config must be a JSON object")
-    mod = multipath if args.module == "intra" else instance_attention
     rows = mod.param_breakdown_from_config(config)
     width = max(len(name) for name, _ in rows) + 2
     print(f"{'component':<{width}}{'parameters':>12}")

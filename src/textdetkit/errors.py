@@ -1,5 +1,6 @@
-"""Exception types shared across the toolkit, and the range check that
-configurations use to raise :class:`ConfigError`."""
+"""Exception types shared across the toolkit, the range check that
+configurations use to raise :class:`ConfigError`, and the integer check that
+file readers share."""
 
 
 class ShapeError(ValueError):
@@ -42,3 +43,10 @@ def check_range(name: str, value, low: float, high: float, *,
     if not (above and below):
         interval = f"{'[' if low_closed else '('}{low:g}, {high:g}{']' if high_closed else ')'}"
         raise ConfigError(f"{name} must be in {interval}, got {value}")
+
+
+def _json_int(value, what: str, error=ParseError) -> int:
+    """An integer read from JSON; floats, bools and strings raise ``error``."""
+    if type(value) is not int:
+        raise error(f"{what} must be an integer, got {value!r}")
+    return value

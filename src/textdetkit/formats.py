@@ -18,11 +18,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, _json_int
 from .evaluate import GroundTruthSet
 from .geometry import AxisBox, BitMask, Polygon, mask_to_polygons, polygon_to_mask
 from .pseudolabel import PseudoLabel, ScoredDetection
@@ -130,11 +131,18 @@ def rle_encode(mask: BitMask) -> dict:
     return {"width": width, "height": height, "counts": counts.tolist()}
 
 
-def _json_int(value, what: str) -> int:
-    """An integer read from JSON; floats, bools and strings are rejected."""
-    if type(value) is not int:
-        raise ParseError(f"{what} must be an integer, got {value!r}")
-    return value
+def _json_numbers(values: list, what: str) -> np.ndarray:
+    """A list of JSON numbers as float64, type-checked and converted in bulk.
+
+    Bools, strings and nested values are rejected, and so is an integer
+    literal too large for a double.
+    """
+    if not set(map(type, values)) <= {int, float}:
+        raise ParseError(f"{what} must be JSON numbers")
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError as exc:
+        raise ParseError(f"{what} hold a number too large for a double") from exc
 
 
 def rle_decode(obj) -> BitMask:
@@ -220,10 +228,7 @@ def _check_in_frame(what, coords, width, height, path) -> None:
 def _box_from_json(raw, width, height, path) -> AxisBox:
     if not isinstance(raw, list) or len(raw) != 4:
         raise ParseError(f"{path}: box must be a list of 4 numbers, got {raw!r}")
-    try:
-        vals = [float(v) for v in raw]
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: non-numeric box coordinate") from exc
+    vals = _json_numbers(raw, f"{path}: box coordinates").tolist()
     _check_in_frame("box", vals, width, height, path)
     try:
         return AxisBox(*vals)
@@ -234,10 +239,10 @@ def _box_from_json(raw, width, height, path) -> AxisBox:
 def _polygon_from_json(raw, width, height, path) -> Polygon:
     if not isinstance(raw, list) or len(raw) < 3:
         raise ParseError(f"{path}: polygon must list >= 3 points")
-    try:
-        pts = [(float(p[0]), float(p[1])) for p in raw]
-    except (TypeError, ValueError, LookupError) as exc:
-        raise ParseError(f"{path}: polygon points must be [x, y] number pairs") from exc
+    if not all(isinstance(p, list) and len(p) == 2 for p in raw):
+        raise ParseError(f"{path}: polygon points must be [x, y] number pairs")
+    pts = _json_numbers([c for p in raw for c in p], f"{path}: polygon points")
+    pts = pts.reshape(-1, 2).tolist()
     xs, ys = zip(*pts)
     _check_in_frame("polygon extent", [min(xs), min(ys), max(xs), max(ys)], width, height, path)
     # clamp the permitted 1 px overhang onto the canvas for rasterization; a
@@ -320,7 +325,8 @@ def load_detection_file(path) -> DetectionSet:
             raise ParseError(f"{path}: {exc}") from exc
         detections.append(det)
     scale = doc.get("scaleFactor", 1.0)
-    if type(scale) not in (int, float) or not 0.0 < scale < math.inf:
+    # an integer above the largest double would overflow float()
+    if type(scale) not in (int, float) or not 0.0 < scale <= sys.float_info.max:
         raise ParseError(f"{path}: scaleFactor must be a finite number > 0, got {scale!r}")
     return DetectionSet(image_id=image_id, detections=detections,
                         source_tag=str(doc.get("sourceTag", "")), image_width=width,
@@ -428,24 +434,25 @@ def load_tensor_file(path):
     payload = {}
     tensors = {}
     for name in sorted(raw):
-        entry = raw[name]
-        try:
-            shape = [int(e) for e in entry["shape"]]
-            data = [float(v) for v in entry["data"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: bad tensor {name!r}: {exc}") from exc
-        if any(e < 1 for e in shape):
-            raise ParseError(f"{path}: tensor {name!r} has an empty extent {shape}")
-        expected = int(np.prod(shape))
+        entry = raw.pop(name)  # popped, so that the del below frees its parsed values
+        entry = entry if isinstance(entry, dict) else {}
+        shape, data = entry.get("shape"), entry.get("data")
+        if not isinstance(shape, list) or not isinstance(data, list):
+            raise ParseError(f"{path}: tensor {name!r} needs a 'shape' list and a 'data' list")
+        for e in shape:
+            if _json_int(e, f"{path}: tensor {name!r} shape entry") < 1:
+                raise ParseError(f"{path}: tensor {name!r} has an empty extent {shape}")
+        expected = math.prod(shape)
         if expected != len(data):
             raise ParseError(
                 f"{path}: tensor {name!r} declares shape {shape} "
                 f"({expected} values) but carries {len(data)}"
             )
-        arr = np.asarray(data, dtype=np.float64)
+        arr = _json_numbers(data, f"{path}: tensor {name!r} data")
+        del entry, data  # free the parsed values before the payload holds new ones
         if not np.isfinite(arr).all():
             raise ParseError(f"{path}: tensor {name!r} holds a non-finite value")
-        payload[name] = {"shape": shape, "data": data}
+        payload[name] = {"shape": shape, "data": arr.tolist()}
         tensors[name] = arr.reshape(shape)
     stored = doc.get("checksum")
     actual = tensor_checksum(payload)

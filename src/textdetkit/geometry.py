@@ -237,13 +237,10 @@ def _convex_pieces(p: Polygon):
 def polygon_intersection(a: Polygon, b: Polygon) -> list[Polygon]:
     """Intersection region of two polygons as a list of disjoint pieces.
 
-    Convex inputs are clipped directly; otherwise both operands are cut into
-    convex trapezoids and all cross pairs are clipped, so the returned pieces
+    Both operands are cut into convex pieces (a convex polygon is its own
+    single piece) and all cross pairs are clipped, so the returned pieces
     tile the intersection without overlap. An empty list means disjoint.
     """
-    if is_convex(a) and is_convex(b):
-        piece = _clean_piece(_clip_convex(list(a.vertices), list(b.vertices)))
-        return [Polygon(tuple(piece))] if piece is not None else []
     out = []
     for pa in _convex_pieces(a):
         for pb in _convex_pieces(b):

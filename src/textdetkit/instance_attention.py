@@ -16,11 +16,11 @@ is omitted; outputs are deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, make_dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmptyProposalSet, ShapeError
+from .errors import ConfigError, EmptyProposalSet, ShapeError, _json_int
 from .ndtensor import (
     Conv2dKernel,
     Tensor,
@@ -34,76 +34,77 @@ from .ndtensor import (
     softmax,
 )
 
+# Each encoder-layer tensor in weight-file order: (file suffix, EncoderLayer
+# attribute, shape in the symbols d = d_model and h = ffn_hidden).
+_LAYER_TENSORS = (
+    ("query.weight", "w_query", "dd"), ("query.bias", "b_query", "d"),
+    ("key.weight", "w_key", "dd"), ("key.bias", "b_key", "d"),
+    ("value.weight", "w_value", "dd"), ("value.bias", "b_value", "d"),
+    ("out.weight", "w_out", "dd"), ("out.bias", "b_out", "d"),
+    ("ffn1.weight", "ffn_w1", "dh"), ("ffn1.bias", "ffn_b1", "h"),
+    ("ffn2.weight", "ffn_w2", "hd"), ("ffn2.bias", "ffn_b2", "d"),
+    ("norm1.gamma", "norm1_gamma", "d"), ("norm1.beta", "norm1_beta", "d"),
+    ("norm2.gamma", "norm2_gamma", "d"), ("norm2.beta", "norm2_beta", "d"),
+)
 
-@dataclass
-class EncoderLayer:
-    """Weights of one post-norm encoder layer (attention + FFN)."""
+EncoderLayer = make_dataclass(
+    "EncoderLayer", [(attr, Tensor) for _, attr, _ in _LAYER_TENSORS],
+    namespace={"__module__": __name__,
+               "__doc__": "Weights of one post-norm encoder layer (attention + FFN)."},
+)
 
-    w_query: Tensor
-    b_query: Tensor
-    w_key: Tensor
-    b_key: Tensor
-    w_value: Tensor
-    b_value: Tensor
-    w_out: Tensor
-    b_out: Tensor
-    ffn_w1: Tensor
-    ffn_b1: Tensor
-    ffn_w2: Tensor
-    ffn_b2: Tensor
-    norm1_gamma: Tensor
-    norm1_beta: Tensor
-    norm2_gamma: Tensor
-    norm2_beta: Tensor
+# Weight-file config keys and the AttentionConfig attributes they hold, in file order.
+_CONFIG_KEYS = (
+    ("channels", "channels"), ("reducedChannels", "reduced_channels"),
+    ("roiHeight", "roi_height"), ("roiWidth", "roi_width"),
+    ("poolHeight", "pool_height"), ("poolWidth", "pool_width"),
+    ("encoderLayers", "encoder_layers"), ("heads", "heads"),
+    ("ffnHidden", "ffn_hidden"), ("pyramidChannels", "pyramid_channels"),
+)
 
-    def validate(self, d_model: int, ffn_hidden: int) -> None:
-        expect = {
-            "w_query": (d_model, d_model), "b_query": (d_model,),
-            "w_key": (d_model, d_model), "b_key": (d_model,),
-            "w_value": (d_model, d_model), "b_value": (d_model,),
-            "w_out": (d_model, d_model), "b_out": (d_model,),
-            "ffn_w1": (d_model, ffn_hidden), "ffn_b1": (ffn_hidden,),
-            "ffn_w2": (ffn_hidden, d_model), "ffn_b2": (d_model,),
-            "norm1_gamma": (d_model,), "norm1_beta": (d_model,),
-            "norm2_gamma": (d_model,), "norm2_beta": (d_model,),
-        }
-        for name, shape in expect.items():
-            arr = np.asarray(getattr(self, name))
-            if arr.shape != shape:
-                raise ConfigError(
-                    f"encoder layer tensor {name} must have shape {shape}, got {arr.shape}"
-                )
 
-    @classmethod
-    def zeros(cls, d_model: int, ffn_hidden: int) -> "EncoderLayer":
-        z = np.zeros
-        return cls(
-            w_query=z((d_model, d_model)), b_query=z(d_model),
-            w_key=z((d_model, d_model)), b_key=z(d_model),
-            w_value=z((d_model, d_model)), b_value=z(d_model),
-            w_out=z((d_model, d_model)), b_out=z(d_model),
-            ffn_w1=z((d_model, ffn_hidden)), ffn_b1=z(ffn_hidden),
-            ffn_w2=z((ffn_hidden, d_model)), ffn_b2=z(d_model),
-            norm1_gamma=np.ones(d_model), norm1_beta=z(d_model),
-            norm2_gamma=np.ones(d_model), norm2_beta=z(d_model),
-        )
+def _layout(channels, reduced_channels, roi_height, roi_width, pool_height, pool_width,
+            encoder_layers, heads, ffn_hidden, pyramid_channels):
+    """Yields the module's components in weight-file order, once its dimensions check out.
 
-    @classmethod
-    def random(cls, d_model: int, ffn_hidden: int, rng: np.random.Generator,
-               scale: float = 0.05) -> "EncoderLayer":
-        def w(*shape):
-            return rng.normal(0.0, scale, size=shape)
+    A component is (params-table label, constructor, {tensor name: shape}); the
+    constructor takes the tensors in that order. Every dimension must be >= 1,
+    the pooled grid must fit in the RoI and the heads must divide d_model.
+    ffn_hidden 0 stands for 4 * d_model.
+    """
+    d_model = pool_height * pool_width * reduced_channels
+    ffn_hidden = ffn_hidden or 4 * d_model
+    if min(channels, reduced_channels, roi_height, roi_width, pool_height, pool_width,
+           encoder_layers, heads, ffn_hidden, *pyramid_channels) < 1 or not pyramid_channels:
+        raise ConfigError("all attention config dimensions must be >= 1")
+    if pool_height > roi_height or pool_width > roi_width:
+        raise ConfigError("pooled size must not exceed the RoI size")
+    if d_model % heads != 0:
+        raise ConfigError(f"token width {d_model} is not divisible by {heads} heads")
 
-        return cls(
-            w_query=w(d_model, d_model), b_query=w(d_model),
-            w_key=w(d_model, d_model), b_key=w(d_model),
-            w_value=w(d_model, d_model), b_value=w(d_model),
-            w_out=w(d_model, d_model), b_out=w(d_model),
-            ffn_w1=w(d_model, ffn_hidden), ffn_b1=w(ffn_hidden),
-            ffn_w2=w(ffn_hidden, d_model), ffn_b2=w(d_model),
-            norm1_gamma=1.0 + w(d_model) * 0.1, norm1_beta=w(d_model),
-            norm2_gamma=1.0 + w(d_model) * 0.1, norm2_beta=w(d_model),
-        )
+    def conv(label, prefix, c_out, c_in):
+        return label, Conv2dKernel, {f"{prefix}.weight": (c_out, c_in, 1, 1),
+                                     f"{prefix}.bias": (c_out,)}
+
+    sizes = {"d": d_model, "h": ffn_hidden}
+    layer = [(suffix, tuple(sizes[s] for s in shape)) for suffix, _, shape in _LAYER_TENSORS]
+    yield conv("token reduction (1x1 conv)", "reduce", reduced_channels, channels)
+    for i in range(encoder_layers):
+        yield f"encoder layer {i}", EncoderLayer, {f"layer{i}.{suffix}": shape
+                                                   for suffix, shape in layer}
+    yield conv("feature recovery (1x1 conv)", "recover", channels, reduced_channels)
+    for i, c in enumerate(pyramid_channels):
+        yield conv(f"global context level {i} (1x1 conv)", f"context{i}", channels, c)
+
+
+def _dims(channels, reduced_channels, roi_size, pool_size, encoder_layers, heads,
+          ffn_hidden, pyramid_channels) -> dict:
+    """``zeros``/``random`` arguments as {AttentionConfig attribute: value}."""
+    return dict(channels=channels, reduced_channels=reduced_channels,
+                roi_height=roi_size[0], roi_width=roi_size[1],
+                pool_height=pool_size[0], pool_width=pool_size[1],
+                encoder_layers=encoder_layers, heads=heads, ffn_hidden=ffn_hidden,
+                pyramid_channels=list(pyramid_channels or [channels] * 4))
 
 
 @dataclass
@@ -131,32 +132,17 @@ class AttentionConfig:
     def __post_init__(self):
         if self.ffn_hidden == 0:
             self.ffn_hidden = 4 * self.d_model
-        if min(self.channels, self.reduced_channels, self.roi_height, self.roi_width,
-               self.pool_height, self.pool_width, self.heads, self.ffn_hidden) < 1:
-            raise ConfigError("all attention config dimensions must be >= 1")
-        if self.pool_height > self.roi_height or self.pool_width > self.roi_width:
-            raise ConfigError("pooled size must not exceed the RoI size")
-        if self.d_model % self.heads != 0:
-            raise ConfigError(
-                f"token width {self.d_model} is not divisible by {self.heads} heads"
-            )
-        if not self.layers:
-            raise ConfigError("at least one encoder layer is required")
-        if not self.context:
-            raise ConfigError("at least one pyramid-level context kernel is required")
-        if (self.reduce.in_channels, self.reduce.out_channels) != (self.channels, self.reduced_channels):
-            raise ConfigError("reduce kernel must map channels -> reduced_channels")
-        if (self.reduce.kh, self.reduce.kw) != (1, 1):
-            raise ConfigError("reduce kernel must be 1 x 1")
-        if (self.recover.in_channels, self.recover.out_channels) != (self.reduced_channels, self.channels):
-            raise ConfigError("recover kernel must map reduced_channels -> channels")
-        if (self.recover.kh, self.recover.kw) != (1, 1):
-            raise ConfigError("recover kernel must be 1 x 1")
-        for i, kern in enumerate(self.context):
-            if kern.out_channels != self.channels or (kern.kh, kern.kw) != (1, 1):
-                raise ConfigError(f"context kernel {i} must be a 1 x 1 conv onto {self.channels} channels")
-        for layer in self.layers:
-            layer.validate(self.d_model, self.ffn_hidden)
+        for name, shape, arr in self._tensors():
+            if arr.shape != shape:
+                raise ConfigError(f"tensor {name} must have shape {shape}, got {arr.shape}")
+
+    def _tensors(self):
+        """(name, layout shape, array) for every tensor, in weight-file order."""
+        parts = [self.reduce, *self.layers, self.recover, *self.context]
+        layout = _layout(**{attr: getattr(self, attr) for _, attr in _CONFIG_KEYS})
+        for (_, _, shapes), part in zip(layout, parts):
+            for (name, shape), f in zip(shapes.items(), fields(part)):
+                yield name, shape, np.asarray(getattr(part, f.name))
 
     @property
     def d_model(self) -> int:
@@ -171,23 +157,26 @@ class AttentionConfig:
         return [kern.in_channels for kern in self.context]
 
     @classmethod
+    def _build(cls, fill, dims: dict) -> "AttentionConfig":
+        """The config whose tensors are fill(name, shape), called in weight-file order."""
+        parts = [make(*(fill(name, shape) for name, shape in shapes.items()))
+                 for _, make, shapes in _layout(**dims)]
+        n = dims["encoder_layers"]
+        attrs = {k: v for k, v in dims.items() if k not in ("encoder_layers", "pyramid_channels")}
+        return cls(reduce=parts[0], layers=parts[1:n + 1], recover=parts[n + 1],
+                   context=parts[n + 2:], **attrs)
+
+    @classmethod
     def zeros(cls, channels: int = 256, reduced_channels: int = 32,
               roi_size: tuple[int, int] = (14, 14), pool_size: tuple[int, int] = (3, 3),
               encoder_layers: int = 3, heads: int = 4, ffn_hidden: int = 0,
               pyramid_channels=None) -> "AttentionConfig":
-        d_model = pool_size[0] * pool_size[1] * reduced_channels
-        hidden = ffn_hidden or 4 * d_model
-        pyramid_channels = list(pyramid_channels or [channels] * 4)
-        return cls(
-            reduce=Conv2dKernel.zeros(reduced_channels, channels, 1, 1),
-            layers=[EncoderLayer.zeros(d_model, hidden) for _ in range(encoder_layers)],
-            recover=Conv2dKernel.zeros(channels, reduced_channels, 1, 1),
-            context=[Conv2dKernel.zeros(channels, c, 1, 1) for c in pyramid_channels],
-            channels=channels, reduced_channels=reduced_channels,
-            roi_height=roi_size[0], roi_width=roi_size[1],
-            pool_height=pool_size[0], pool_width=pool_size[1],
-            heads=heads, ffn_hidden=hidden,
-        )
+        """All-zero weights and biases, unit layer-norm gains."""
+        def fill(name, shape):
+            return np.ones(shape) if name.endswith(".gamma") else np.zeros(shape)
+
+        return cls._build(fill, _dims(channels, reduced_channels, roi_size, pool_size,
+                                      encoder_layers, heads, ffn_hidden, pyramid_channels))
 
     @classmethod
     def random(cls, rng: np.random.Generator, channels: int = 256,
@@ -195,21 +184,18 @@ class AttentionConfig:
                pool_size: tuple[int, int] = (3, 3), encoder_layers: int = 3,
                heads: int = 4, ffn_hidden: int = 0, pyramid_channels=None,
                scale: float = 0.05, zero_bias: bool = False) -> "AttentionConfig":
-        d_model = pool_size[0] * pool_size[1] * reduced_channels
-        hidden = ffn_hidden or 4 * d_model
-        pyramid_channels = list(pyramid_channels or [channels] * 4)
+        """Normal(0, scale) draws in weight-file order; layer-norm gains are
+        1 + 0.1 * draw. ``zero_bias`` zeroes the 1 x 1 conv biases without drawing."""
         bias_scale = 0.0 if zero_bias else scale
-        return cls(
-            reduce=Conv2dKernel.random(reduced_channels, channels, 1, 1, rng, scale, bias_scale),
-            layers=[EncoderLayer.random(d_model, hidden, rng, scale) for _ in range(encoder_layers)],
-            recover=Conv2dKernel.random(channels, reduced_channels, 1, 1, rng, scale, bias_scale),
-            context=[Conv2dKernel.random(channels, c, 1, 1, rng, scale, bias_scale)
-                     for c in pyramid_channels],
-            channels=channels, reduced_channels=reduced_channels,
-            roi_height=roi_size[0], roi_width=roi_size[1],
-            pool_height=pool_size[0], pool_width=pool_size[1],
-            heads=heads, ffn_hidden=hidden,
-        )
+
+        def fill(name, shape):
+            if name.endswith(".bias") and not name.startswith("layer"):  # a 1 x 1 conv bias
+                return rng.normal(0.0, bias_scale, size=shape) if bias_scale else np.zeros(shape)
+            draw = rng.normal(0.0, scale, size=shape)
+            return 1.0 + draw * 0.1 if name.endswith(".gamma") else draw
+
+        return cls._build(fill, _dims(channels, reduced_channels, roi_size, pool_size,
+                                      encoder_layers, heads, ffn_hidden, pyramid_channels))
 
 
 def _check_roi(f, cfg: AttentionConfig) -> Tensor:
@@ -359,37 +345,14 @@ def forward(f, pyramid, cfg: AttentionConfig, return_attention: bool = False):
 # ---------------------------------------------------------------------------
 # parameter counting and named-tensor serialization
 
-_LAYER_FIELDS = (
-    ("query.weight", "w_query"), ("query.bias", "b_query"),
-    ("key.weight", "w_key"), ("key.bias", "b_key"),
-    ("value.weight", "w_value"), ("value.bias", "b_value"),
-    ("out.weight", "w_out"), ("out.bias", "b_out"),
-    ("ffn1.weight", "ffn_w1"), ("ffn1.bias", "ffn_b1"),
-    ("ffn2.weight", "ffn_w2"), ("ffn2.bias", "ffn_b2"),
-    ("norm1.gamma", "norm1_gamma"), ("norm1.beta", "norm1_beta"),
-    ("norm2.gamma", "norm2_gamma"), ("norm2.beta", "norm2_beta"),
-)
-
 
 def param_count(cfg: AttentionConfig) -> int:
-    total = cfg.reduce.param_count + cfg.recover.param_count
-    total += sum(kern.param_count for kern in cfg.context)
-    for layer in cfg.layers:
-        total += sum(np.asarray(getattr(layer, attr)).size for _, attr in _LAYER_FIELDS)
-    return total
+    return sum(arr.size for arr in to_named_tensors(cfg)[1].values())
 
 
 def param_breakdown_from_config(config: dict) -> list[tuple[str, int]]:
-    dims = _parse_config(config)
-    c, c0, d, hidden = dims["channels"], dims["reducedChannels"], dims["dModel"], dims["ffnHidden"]
-    rows = [("token reduction (1x1 conv)", c0 * c + c0)]
-    per_layer = 4 * (d * d + d) + (d * hidden + hidden) + (hidden * d + d) + 4 * d
-    for i in range(dims["encoderLayers"]):
-        rows.append((f"encoder layer {i}", per_layer))
-    rows.append(("feature recovery (1x1 conv)", c * c0 + c))
-    for i, cl in enumerate(dims["pyramidChannels"]):
-        rows.append((f"global context level {i} (1x1 conv)", c * cl + c))
-    return rows
+    return [(label, sum(math.prod(shape) for shape in shapes.values()))
+            for label, _, shapes in _layout(**_parse_config(config))]
 
 
 def param_count_from_config(config: dict) -> int:
@@ -397,81 +360,37 @@ def param_count_from_config(config: dict) -> int:
 
 
 def _parse_config(config: dict) -> dict:
+    """{AttentionConfig attribute: value} from a weight-file config; every
+    count must be a JSON integer."""
+    dims = {}
     try:
-        dims = {
-            "channels": int(config["channels"]),
-            "reducedChannels": int(config["reducedChannels"]),
-            "roiHeight": int(config["roiHeight"]),
-            "roiWidth": int(config["roiWidth"]),
-            "poolHeight": int(config["poolHeight"]),
-            "poolWidth": int(config["poolWidth"]),
-            "encoderLayers": int(config["encoderLayers"]),
-            "heads": int(config["heads"]),
-            "pyramidChannels": [int(c) for c in config["pyramidChannels"]],
-        }
-    except (KeyError, TypeError, ValueError) as exc:
+        for key, attr in _CONFIG_KEYS:
+            value = config.get(key, 0) if key == "ffnHidden" else config[key]
+            if key == "pyramidChannels":
+                dims[attr] = [_json_int(c, "pyramidChannels entry", ConfigError) for c in value]
+            else:
+                dims[attr] = _json_int(value, key, ConfigError)
+    except (KeyError, TypeError) as exc:
         raise ConfigError(f"invalid attention config: {exc}") from exc
-    dims["dModel"] = dims["poolHeight"] * dims["poolWidth"] * dims["reducedChannels"]
-    dims["ffnHidden"] = int(config.get("ffnHidden", 0)) or 4 * dims["dModel"]
-    if min(dims["channels"], dims["reducedChannels"], dims["encoderLayers"],
-           dims["heads"], dims["ffnHidden"]) < 1 or not dims["pyramidChannels"]:
-        raise ConfigError("attention config dimensions must be >= 1")
-    if dims["dModel"] % dims["heads"] != 0:
-        raise ConfigError(
-            f"token width {dims['dModel']} is not divisible by {dims['heads']} heads"
-        )
     return dims
 
 
 def to_named_tensors(cfg: AttentionConfig) -> tuple[dict, dict]:
-    config = {
-        "channels": cfg.channels,
-        "reducedChannels": cfg.reduced_channels,
-        "roiHeight": cfg.roi_height,
-        "roiWidth": cfg.roi_width,
-        "poolHeight": cfg.pool_height,
-        "poolWidth": cfg.pool_width,
-        "encoderLayers": cfg.encoder_layers,
-        "heads": cfg.heads,
-        "ffnHidden": cfg.ffn_hidden,
-        "pyramidChannels": cfg.pyramid_channels,
-    }
-    tensors = {"reduce.weight": cfg.reduce.weights, "reduce.bias": cfg.reduce.bias}
-    for i, layer in enumerate(cfg.layers):
-        for suffix, attr in _LAYER_FIELDS:
-            tensors[f"layer{i}.{suffix}"] = np.asarray(getattr(layer, attr))
-    tensors["recover.weight"] = cfg.recover.weights
-    tensors["recover.bias"] = cfg.recover.bias
-    for i, kern in enumerate(cfg.context):
-        tensors[f"context{i}.weight"] = kern.weights
-        tensors[f"context{i}.bias"] = kern.bias
-    return config, tensors
+    config = {key: getattr(cfg, attr) for key, attr in _CONFIG_KEYS}
+    return config, {name: arr for name, _, arr in cfg._tensors()}
 
 
 def from_named_tensors(config: dict, tensors: dict) -> AttentionConfig:
-    dims = _parse_config(config)
-
-    def grab(name):
+    def grab(name, shape):
         try:
             return tensors[name]
         except KeyError as exc:
             raise ConfigError(f"missing tensor {name}") from exc
 
-    layers = []
-    for i in range(dims["encoderLayers"]):
-        kwargs = {attr: grab(f"layer{i}.{suffix}") for suffix, attr in _LAYER_FIELDS}
-        layers.append(EncoderLayer(**kwargs))
-    context = [
-        Conv2dKernel(grab(f"context{i}.weight"), grab(f"context{i}.bias"))
-        for i in range(len(dims["pyramidChannels"]))
-    ]
-    return AttentionConfig(
-        reduce=Conv2dKernel(grab("reduce.weight"), grab("reduce.bias")),
-        layers=layers,
-        recover=Conv2dKernel(grab("recover.weight"), grab("recover.bias")),
-        context=context,
-        channels=dims["channels"], reduced_channels=dims["reducedChannels"],
-        roi_height=dims["roiHeight"], roi_width=dims["roiWidth"],
-        pool_height=dims["poolHeight"], pool_width=dims["poolWidth"],
-        heads=dims["heads"], ffn_hidden=dims["ffnHidden"],
-    )
+    dims = _parse_config(config)
+    cfg = AttentionConfig._build(grab, dims)
+    # the context tensors, not config fields, carry these sizes
+    if cfg.pyramid_channels != dims["pyramid_channels"]:
+        raise ConfigError(f"context tensors take {cfg.pyramid_channels} channels, "
+                          f"config pyramidChannels says {dims['pyramid_channels']}")
+    return cfg

@@ -18,12 +18,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, _json_int
 from .ndtensor import Conv2dKernel, Tensor, as_tensor, conv2d, relu
 
 ACTIVATIONS = ("none", "relu")
 DEFAULT_KERNEL_SIZES = (7, 5, 3)
-BRANCH_NAMES = ("vertical", "horizontal", "square")
+
+
+def _branch_extents(k: int) -> dict:
+    """Branch name -> (kh, kw) for a block of kernel extent k, in weight-file order."""
+    return {"vertical": (k, 1), "horizontal": (1, k), "square": (k, k)}
 
 
 def _activate(x: Tensor, activation: str) -> Tensor:
@@ -42,20 +46,13 @@ class ConvBlock:
     def __post_init__(self):
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
-        k = self.vertical.kh
-        if self.vertical.kw != 1:
-            raise ConfigError("vertical branch kernel must be k x 1")
-        if (self.horizontal.kh, self.horizontal.kw) != (1, k):
-            raise ConfigError(f"horizontal branch kernel must be 1 x {k}")
-        if (self.square.kh, self.square.kw) != (k, k):
-            raise ConfigError(f"square branch kernel must be {k} x {k}")
+        c, extents = self.channels, _branch_extents(self.kernel_size)
         for name, kern in self.branches():
-            if kern.in_channels != kern.out_channels:
-                raise ConfigError(f"{name} branch must preserve channel width")
-            if kern.in_channels != self.channels:
-                raise ConfigError("all branches of a block must share one channel width")
-        if self.channels < 1:
-            raise ConfigError("block channel width must be >= 1")
+            want = (c, c, *extents[name])
+            if kern.weights.shape != want:
+                raise ConfigError(
+                    f"{name} branch kernel must have shape {want}, got {kern.weights.shape}"
+                )
 
     @property
     def kernel_size(self) -> int:
@@ -66,27 +63,19 @@ class ConvBlock:
         return self.vertical.in_channels
 
     def branches(self):
-        return zip(BRANCH_NAMES, (self.vertical, self.horizontal, self.square))
+        return [(name, getattr(self, name)) for name in _branch_extents(self.kernel_size)]
 
     @classmethod
     def zeros(cls, channels: int, k: int, activation: str = "none") -> "ConvBlock":
-        return cls(
-            vertical=Conv2dKernel.zeros(channels, channels, k, 1),
-            horizontal=Conv2dKernel.zeros(channels, channels, 1, k),
-            square=Conv2dKernel.zeros(channels, channels, k, k),
-            activation=activation,
-        )
+        return cls(**{name: Conv2dKernel.zeros(channels, channels, kh, kw)
+                      for name, (kh, kw) in _branch_extents(k).items()}, activation=activation)
 
     @classmethod
     def random(cls, channels: int, k: int, rng: np.random.Generator,
                scale: float = 0.1, bias_scale: float = 0.1,
                activation: str = "none") -> "ConvBlock":
-        return cls(
-            vertical=Conv2dKernel.random(channels, channels, k, 1, rng, scale, bias_scale),
-            horizontal=Conv2dKernel.random(channels, channels, 1, k, rng, scale, bias_scale),
-            square=Conv2dKernel.random(channels, channels, k, k, rng, scale, bias_scale),
-            activation=activation,
-        )
+        return cls(**{name: Conv2dKernel.random(channels, channels, kh, kw, rng, scale, bias_scale)
+                      for name, (kh, kw) in _branch_extents(k).items()}, activation=activation)
 
 
 @dataclass
@@ -129,33 +118,35 @@ class CascadeConfig:
         return cls(blocks=blocks, residual=residual)
 
 
+def _check_input(x, channels: int, what: str) -> Tensor:
+    x = as_tensor(x, what)
+    if x.ndim != 3 or x.shape[0] != channels:
+        raise ShapeError(f"{what} must be ({channels}, H, W), got {tuple(x.shape)}")
+    return x
+
+
+def _branch_sum(x: Tensor, block: ConvBlock) -> Tensor:
+    vertical, horizontal, square = (conv2d(x, kern) for _, kern in block.branches())
+    return vertical + horizontal + square
+
+
 def block_forward(x: Tensor, block: ConvBlock) -> Tensor:
     """act( conv_kx1(x) + conv_1xk(x) + conv_kxk(x) ), spatial size preserved."""
-    x = as_tensor(x, "block input")
-    if x.ndim != 3 or x.shape[0] != block.channels:
-        raise ShapeError(
-            f"block input must be ({block.channels}, H, W), got {tuple(x.shape)}"
-        )
-    summed = conv2d(x, block.vertical) + conv2d(x, block.horizontal) + conv2d(x, block.square)
-    return _activate(summed, block.activation)
+    x = _check_input(x, block.channels, "block input")
+    return _activate(_branch_sum(x, block), block.activation)
 
 
 def cascade_forward(x: Tensor, cfg: CascadeConfig) -> Tensor:
     """Run the three blocks in order; the residual input joins before the
     last block's activation."""
-    x = as_tensor(x, "cascade input")
-    if x.ndim != 3 or x.shape[0] != cfg.channels:
-        raise ShapeError(
-            f"cascade input must be ({cfg.channels}, H, W), got {tuple(x.shape)}"
-        )
+    x = _check_input(x, cfg.channels, "cascade input")
     y = x
     for block in cfg.blocks[:-1]:
         y = block_forward(y, block)
-    last = cfg.blocks[-1]
-    y = conv2d(y, last.vertical) + conv2d(y, last.horizontal) + conv2d(y, last.square)
+    y = _branch_sum(y, cfg.blocks[-1])
     if cfg.residual:
         y = y + x
-    return _activate(y, last.activation)
+    return _activate(y, cfg.blocks[-1].activation)
 
 
 def forward_pyramid(levels, cfg) -> list:
@@ -172,17 +163,16 @@ def forward_pyramid(levels, cfg) -> list:
 
 def param_count(cfg: CascadeConfig) -> int:
     """Exact number of scalar weights plus biases in the configured module."""
-    return sum(kern.param_count for block in cfg.blocks for _, kern in block.branches())
+    return sum(arr.size for arr in to_named_tensors(cfg)[1].values())
 
 
 def param_breakdown_from_config(config: dict) -> list[tuple[str, int]]:
-    """Per-block parameter counts from a plain config dict (no weights needed)."""
-    channels, kernel_sizes, _, _ = _parse_config(config)
-    rows = []
-    for i, k in enumerate(kernel_sizes):
-        n = (k + k + k * k) * channels * channels + 3 * channels
-        rows.append((f"block{i} (k={k})", n))
-    return rows
+    """Per-block parameter counts from a plain config dict (no weights needed):
+    each branch holds (C, C, kh, kw) weights and C biases."""
+    c, kernel_sizes, _, _ = _parse_config(config)
+    return [(f"block{i} (k={k})",
+             sum(c * c * kh * kw + c for kh, kw in _branch_extents(k).values()))
+            for i, k in enumerate(kernel_sizes)]
 
 
 def param_count_from_config(config: dict) -> int:
@@ -195,12 +185,15 @@ def param_count_from_config(config: dict) -> int:
 
 def _parse_config(config: dict):
     try:
-        channels = int(config["channels"])
-        kernel_sizes = [int(k) for k in config["kernelSizes"]]
-        activation = str(config.get("activation", "none"))
-        residual = bool(config.get("residual", True))
-    except (KeyError, TypeError, ValueError) as exc:
+        channels = _json_int(config["channels"], "channels", ConfigError)
+        kernel_sizes = [_json_int(k, "kernelSizes entry", ConfigError)
+                        for k in config["kernelSizes"]]
+    except (KeyError, TypeError) as exc:
         raise ConfigError(f"invalid cascade config: {exc}") from exc
+    activation = config.get("activation", "none")
+    residual = config.get("residual", True)
+    if type(residual) is not bool:
+        raise ConfigError(f"residual must be true or false, got {residual!r}")
     if channels < 1:
         raise ConfigError("channels must be >= 1")
     if len(kernel_sizes) != 3:
@@ -233,7 +226,7 @@ def from_named_tensors(config: dict, tensors: dict) -> CascadeConfig:
     blocks = []
     for i, k in enumerate(kernel_sizes):
         kerns = {}
-        for name in BRANCH_NAMES:
+        for name in _branch_extents(k):
             try:
                 weights = tensors[f"block{i}.{name}.weight"]
                 bias = tensors[f"block{i}.{name}.bias"]

@@ -271,6 +271,72 @@ class TestMalformedInputs:
         assert err.startswith("error:") and "non-finite" in err
 
 
+    # a JSON integer literal far outside the range of a double
+    HUGE = int("9" * 400)
+
+    def test_fractional_tensor_shape_exit_2(self, tmp_path, capsys):
+        # the checksum was recomputed from the truncated shape, so (1, 1, 1) used to load
+        path = tmp_path / "input.json"
+        formats.save_tensor_file(path, {"input": np.ones((1, 1, 1))})
+        doc = json.loads(path.read_text())
+        doc["tensors"]["input"]["shape"] = [1, 1.9, 1]
+        path.write_text(json.dumps(doc))
+        weights = tmp_path / "weights.json"
+        config, tensors = multipath.to_named_tensors(multipath.CascadeConfig.zeros(1))
+        formats.save_tensor_file(weights, tensors, module="intra", config=config)
+        assert main(["forward", "--module", "intra", "--weights", str(weights),
+                     "--input", str(path), "--out", str(tmp_path / "o.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "shape" in err
+
+    def test_huge_tensor_value_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        formats.save_tensor_file(path, {"input": np.ones((1, 2, 2))})
+        text = path.read_text().replace("[1.0,", f"[{self.HUGE},", 1)
+        assert str(self.HUGE) in text
+        path.write_text(text)
+        weights = tmp_path / "weights.json"
+        config, tensors = multipath.to_named_tensors(multipath.CascadeConfig.zeros(1))
+        formats.save_tensor_file(weights, tensors, module="intra", config=config)
+        assert main(["forward", "--module", "intra", "--weights", str(weights),
+                     "--input", str(path), "--out", str(tmp_path / "o.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "too large" in err
+
+    @pytest.mark.parametrize("box", [["0", "0", "4", True], [0, 0, HUGE, 4]],
+                             ids=["strings-and-bool", "huge"])
+    def test_bad_box_coordinates_nms_exit_2(self, tmp_path, capsys, box):
+        doc = {"schemaVersion": "1", "imageId": "img", "imageWidth": 4, "imageHeight": 4,
+               "sourceTag": "m", "scaleFactor": 1.0, "detections": [
+                   {"box": box, "score": 0.5,
+                    "mask": {"width": 4, "height": 4, "counts": [5, 2, 9]}}]}
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps(doc))
+        assert main(["nms", "--in", str(src), "--out", str(tmp_path / "o.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "box" in err
+
+    @pytest.mark.parametrize("polygon", [["00", "40", [4, 4]],
+                                         [[0, 0], [4, 0], [4, HUGE]],
+                                         [[0, 0], [4, False], [4, 4]]],
+                             ids=["strings", "huge", "bool"])
+    def test_bad_gt_polygon_eval_exit_2(self, tmp_path, capsys, polygon):
+        gt = tmp_path / "gt.json"
+        gt.write_text(json.dumps({"schemaVersion": "1", "imageId": "img", "imageWidth": 8,
+                                  "imageHeight": 8, "instances": [{"polygon": polygon}]}))
+        det = tmp_path / "det.json"
+        write_detection_file(det, [])
+        assert main(["eval", "--gt", str(gt), "--det", str(det)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "polygon" in err
+
+    def test_huge_scale_factor_nms_exit_2(self, tmp_path, capsys):
+        src = self._detection_file(tmp_path / "in.json", self.HUGE)
+        assert main(["nms", "--in", src, "--out", str(tmp_path / "o.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "scaleFactor" in err
+
+
 class TestEval:
     def _write_gt(self, path, polys, ignore=None):
         gt = GroundTruthSet("img", list(polys), list(ignore or [False] * len(polys)),
@@ -325,6 +391,25 @@ class TestEval:
         assert report["precision"] == 0.0
         assert report["fMeasure"] == 0.0
         assert "precision" in report["flags"]
+
+
+# Module config values that only look like the right JSON type. Each used to
+# load: "false" as a residual that is on, true as one head, 2.7 as 2 channels.
+LOOSE_CONFIGS = [
+    ("intra", "residual", "false"), ("intra", "channels", 2.7),
+    ("intra", "kernelSizes", [3.9, 3, 3]), ("inter", "heads", True),
+    ("inter", "roiHeight", "4"), ("inter", "pyramidChannels", [8.2]),
+]
+
+
+def _module_config(module):
+    """A valid small (config, tensors) pair for `module`."""
+    if module == "intra":
+        return multipath.to_named_tensors(
+            multipath.CascadeConfig.zeros(2, kernel_sizes=(3, 3, 3)))
+    return instance_attention.to_named_tensors(instance_attention.AttentionConfig.zeros(
+        channels=8, reduced_channels=2, roi_size=(4, 4), pool_size=(2, 2),
+        encoder_layers=1, heads=2, pyramid_channels=[8]))
 
 
 class TestForward:
@@ -394,6 +479,21 @@ class TestForward:
                      "--input", str(input_path), "--out", str(tmp_path / "o.json")]) == 5
 
 
+    @pytest.mark.parametrize("module, key, value", LOOSE_CONFIGS)
+    def test_loose_config_types_exit_5(self, tmp_path, capsys, module, key, value):
+        config, tensors = _module_config(module)
+        weights = tmp_path / "weights.json"
+        formats.save_tensor_file(weights, tensors, module=module, config={**config, key: value})
+        inputs = tmp_path / "input.json"
+        formats.save_tensor_file(inputs, {"input": np.ones((2, 4, 4)),
+                                          "roi": np.ones((1, 8, 4, 4)),
+                                          "pyramid.0": np.ones((8, 2, 2))})
+        assert main(["forward", "--module", module, "--weights", str(weights),
+                     "--input", str(inputs), "--out", str(tmp_path / "o.json")]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+
+
 class TestParams:
     def test_toy_intra_table(self, tmp_path, capsys):
         config_path = tmp_path / "cfg.json"
@@ -423,6 +523,16 @@ class TestParams:
         config_path = tmp_path / "cfg.json"
         config_path.write_text(json.dumps({"channels": 4}))
         assert main(["params", "--module", "intra", "--config", str(config_path)]) == 4
+
+
+    @pytest.mark.parametrize("module, key, value", LOOSE_CONFIGS)
+    def test_loose_config_types_exit_4(self, tmp_path, capsys, module, key, value):
+        config, _ = _module_config(module)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**config, key: value}))
+        assert main(["params", "--module", module, "--config", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
 
 
 class TestArgumentErrors:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -127,6 +128,19 @@ class TestTransformerEncoder:
     def test_head_divisibility_checked(self):
         with pytest.raises(ConfigError, match="divisible"):
             small_config(heads=3)
+
+    @pytest.mark.parametrize("dims, config, match", [
+        (dict(pool_size=(7, 2)), {"poolHeight": 7}, "pooled size"),
+        (dict(encoder_layers=0), {"encoderLayers": 0}, ">= 1"),
+        (dict(channels=0), {"channels": 0}, ">= 1"),
+        (dict(ffn_hidden=-4), {"ffnHidden": -4}, ">= 1"),
+    ])
+    def test_dimensions_checked(self, dims, config, match):
+        with pytest.raises(ConfigError, match=match):
+            small_config(**dims)
+        # a weight-file config goes through the same check
+        with pytest.raises(ConfigError, match=match):
+            param_count_from_config({**to_named_tensors(small_config())[0], **config})
 
 
 class TestTokensToRoi:
@@ -267,6 +281,25 @@ class TestParamsAndSerialization:
         f = rng.normal(size=(2, 6, 6, 6))
         pyramid = [rng.normal(size=(6, 4, 4)), rng.normal(size=(6, 2, 2))]
         assert np.array_equal(forward(f, pyramid, cfg), forward(f, pyramid, rebuilt))
+
+    @pytest.mark.parametrize("name, shape", [
+        ("reduce.weight", (4, 6, 3, 3)),
+        ("layer1.ffn2.weight", (16, 64)),
+        ("layer0.norm2.gamma", (15,)),
+        ("recover.weight", (6, 3, 1, 1)),
+        ("context1.weight", (6, 6, 3, 3)),
+    ])
+    def test_wrong_tensor_shape_rejected(self, rng, name, shape):
+        config, tensors = to_named_tensors(small_config(rng))
+        tensors[name] = np.zeros(shape)
+        with pytest.raises(ConfigError, match=re.escape(name)):
+            from_named_tensors(config, tensors)
+
+    def test_config_pyramid_must_match_context_tensors(self, rng):
+        config, tensors = to_named_tensors(small_config(rng))
+        config["pyramidChannels"] = [6, 5]
+        with pytest.raises(ConfigError, match="pyramidChannels"):
+            from_named_tensors(config, tensors)
 
     def test_missing_tensor_rejected(self, rng):
         cfg = small_config(rng)

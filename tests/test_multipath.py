@@ -17,7 +17,7 @@ from textdetkit.multipath import (
     param_count_from_config,
     to_named_tensors,
 )
-from textdetkit.ndtensor import Conv2dKernel
+from textdetkit.ndtensor import Conv2dKernel, conv2d, relu
 
 
 def scipy_conv_same(x, kern):
@@ -116,6 +116,16 @@ class TestCascadeForward:
         lhs = cascade_forward(2.0 * x - 0.5 * y, cfg)
         rhs = 2.0 * cascade_forward(x, cfg) - 0.5 * cascade_forward(y, cfg)
         assert np.max(np.abs(lhs - rhs)) <= 1e-9
+
+    def test_branch_sums_added_left_to_right(self, rng):
+        # (kx1 + 1xk) + kxk per block, then the residual: bit for bit
+        cfg = CascadeConfig.random(3, rng, kernel_sizes=(5, 3, 3), activation="relu")
+        x = rng.normal(size=(3, 9, 9))
+        y = x
+        for i, block in enumerate(cfg.blocks):
+            y = conv2d(y, block.vertical) + conv2d(y, block.horizontal) + conv2d(y, block.square)
+            y = relu(y + x if i == 2 else y)
+        assert np.array_equal(cascade_forward(x, cfg), y)
 
     def test_spatial_size_preserved(self, rng):
         cfg = CascadeConfig.random(2, rng)
