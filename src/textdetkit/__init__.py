@@ -9,8 +9,8 @@ Submodules:
   pooled global context,
 * :mod:`textdetkit.geometry` -- polygons, boxes, bit masks, IoU, contours,
 * :mod:`textdetkit.pseudolabel` -- three-detector ensemble label fusion,
-* :mod:`textdetkit.suppress` -- hard/soft NMS, multi-scale and multi-model
-  aggregation,
+* :mod:`textdetkit.suppress` -- one greedy NMS loop (hard, linear or
+  Gaussian) over concatenated multi-scale or multi-model detections,
 * :mod:`textdetkit.evaluate` -- recall / precision / F-measure protocol,
 * :mod:`textdetkit.losses` -- reference losses with analytic gradients,
 * :mod:`textdetkit.formats` / :mod:`textdetkit.cli` -- JSON file formats and
@@ -57,10 +57,8 @@ from .pseudolabel import (
 from .suppress import (
     DetectionSet,
     SuppressConfig,
-    model_ensemble,
     multi_scale_aggregate,
     nms,
-    soft_nms,
 )
 from .evaluate import EvalReport, GroundTruthSet, compute_metrics, evaluate, match_detections
 from .losses import LossResult, binary_cross_entropy, smooth_l1, softmax_cross_entropy, total_loss
@@ -78,7 +76,7 @@ __all__ = [
     "iou_box", "iou_mask", "iou_polygon", "polygon_area",
     "polygon_intersection", "mask_to_polygons", "polygon_to_mask",
     "fuse_detections", "overlap_mask", "soft_box",
-    "nms", "soft_nms", "multi_scale_aggregate", "model_ensemble",
+    "nms", "multi_scale_aggregate",
     "match_detections", "compute_metrics", "evaluate",
     "smooth_l1", "binary_cross_entropy", "softmax_cross_entropy", "total_loss",
 ]

@@ -25,12 +25,12 @@ import numpy as np
 
 from .errors import ParseError, _json_int
 from .evaluate import GroundTruthSet
-from .geometry import AxisBox, BitMask, Polygon, mask_to_polygons, polygon_to_mask
+from .geometry import (OVERHANG_TOL, AxisBox, BitMask, Polygon, crosses_itself,
+                       mask_to_polygons, polygon_to_mask)
 from .pseudolabel import PseudoLabel, ScoredDetection
 from .suppress import DetectionSet
 
 SCHEMA_VERSION = "1"
-_BOUNDS_SLACK = 1.0 + 1e-9  # coordinates may overhang the canvas by 1 px
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +218,8 @@ def _check_in_frame(what, coords, width, height, path) -> None:
     """``coords`` [xmin, ymin, xmax, ymax] may overhang the canvas by 1 px;
     NaN is never in frame."""
     xmin, ymin, xmax, ymax = coords
-    if not (-_BOUNDS_SLACK <= xmin and -_BOUNDS_SLACK <= ymin
-            and xmax <= width + _BOUNDS_SLACK and ymax <= height + _BOUNDS_SLACK):
+    if not (-OVERHANG_TOL <= xmin and -OVERHANG_TOL <= ymin
+            and xmax <= width + OVERHANG_TOL and ymax <= height + OVERHANG_TOL):
         raise ParseError(
             f"{path}: {what} {coords} outside image bounds {width}x{height} (+1 px slack)"
         )
@@ -384,8 +384,13 @@ def save_ground_truth_file(path, gt: GroundTruthSet) -> None:
 def load_ground_truth_file(path) -> GroundTruthSet:
     _, image_id, width, height, records = _read_image_doc(path, "instances")
     instances, flags = [], []
-    for record in records:
-        instances.append(_polygon_from_json(record.get("polygon"), width, height, path))
+    for k, record in enumerate(records):
+        poly = _polygon_from_json(record.get("polygon"), width, height, path)
+        # a crossing polygon's shoelace area disagrees with the region it
+        # rasterizes to, so its IoU would be silently wrong
+        if crosses_itself(poly):
+            raise ParseError(f"{path}: instance {k}: polygon edges cross")
+        instances.append(poly)
         ignore = record.get("ignore", False)
         if type(ignore) is not bool:
             raise ParseError(f"{path}: 'ignore' must be true or false, got {ignore!r}")

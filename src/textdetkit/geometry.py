@@ -29,6 +29,8 @@ from scipy import ndimage
 from .errors import GeometryError, ShapeError
 
 _AREA_EPS = 1e-12
+# a box may overhang its canvas, or fall short of its mask's foreground, by 1 px
+OVERHANG_TOL = 1.0 + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +144,30 @@ def is_convex(p: Polygon) -> bool:
         if cross < 0.0:
             return False
     return True
+
+
+def _straddles(a0, a1, b0, b1):
+    # whether segment b0-b1 has its ends strictly on opposite sides of the
+    # line through a0-a1; broadcasts over the leading axes of (..., 2) arrays
+    d = a1 - a0
+    b0, b1 = b0 - a0, b1 - a0
+    return (np.sign(d[..., 0] * b0[..., 1] - d[..., 1] * b0[..., 0])
+            * np.sign(d[..., 0] * b1[..., 1] - d[..., 1] * b1[..., 0]) < 0)
+
+
+def crosses_itself(p: Polygon) -> bool:
+    """True when two edges properly cross: each edge's endpoints lie strictly
+    on opposite sides of the other's line. Shared vertices, a vertex on
+    another edge and collinear overlaps do not count, so weakly simple
+    polygons (pinch points) pass. O(n^2) time; ``Polygon`` does not check."""
+    start = np.asarray(p.vertices)
+    end = np.roll(start, -1, axis=0)
+    rows = max(1, 2**16 // len(start))  # edge blocks keep the temporaries small
+    for i in range(0, len(start), rows):
+        s, e = start[i:i + rows, None], end[i:i + rows, None]  # [i, j]: block edge i, edge j
+        if (_straddles(s, e, start, end) & _straddles(start, end, s, e)).any():
+            return True
+    return False
 
 
 def _line_intersect(s, e, a, b):

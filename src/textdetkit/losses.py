@@ -109,12 +109,7 @@ def softmax_cross_entropy(logits, targets, sample_weights=None) -> LossResult:
     probs = softmax(flat_logits)
     onehot = np.zeros_like(flat_logits)
     onehot[np.arange(n), flat_targets] = 1.0
-    if sample_weights is None:
-        w = np.ones(n)
-    else:
-        w = np.asarray(sample_weights, dtype=np.float64)
-        if w.shape != (n,):
-            raise ShapeError(f"sample weights must have shape ({n},), got {tuple(w.shape)}")
+    w = _sample_weights(sample_weights, n, 1)
     value = float((per_sample * w).mean())
     grad = (probs - onehot) * w[:, None] / n
     return LossResult(value=value, gradient=grad.reshape(logits.shape))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError, check_range
-from .geometry import AxisBox, BitMask, iou_box, iou_mask, shared_window
+from .geometry import OVERHANG_TOL, AxisBox, BitMask, iou_box, iou_mask, shared_window
 
 IOU_MODES = ("mask", "box")
 
@@ -56,7 +56,7 @@ class ScoredDetection:
         fg = self.mask.foreground_box()
         if fg is None:
             return
-        tol = 1.0 + 1e-9
+        tol = OVERHANG_TOL
         if (self.box.xmin > fg.xmin + tol or self.box.ymin > fg.ymin + tol
                 or self.box.xmax < fg.xmax - tol or self.box.ymax < fg.ymax - tol):
             raise ValueError(
@@ -96,13 +96,12 @@ def detection_iou(a: ScoredDetection, b: ScoredDetection, mode: str = "mask") ->
     """Similarity between detections: mask IoU by default, box IoU optionally.
 
     Mask IoU is the default because arbitrary-shaped instances are compared by
-    their actual regions; boxes misrank overlapping curved instances.
+    their actual regions; boxes misrank overlapping curved instances. ``mode``
+    is one of ``IOU_MODES``, as ``FusionConfig`` and ``SuppressConfig`` check.
     """
-    if mode == "mask":
-        return iou_mask(a.mask, b.mask)
     if mode == "box":
         return iou_box(a.box, b.box)
-    raise ConfigError(f"iou_mode must be one of {IOU_MODES}, got {mode!r}")
+    return iou_mask(a.mask, b.mask)
 
 
 def overlap_mask(masks) -> BitMask:

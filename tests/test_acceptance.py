@@ -35,7 +35,7 @@ from textdetkit.pseudolabel import (
     ScoredDetection,
     fuse_detections,
 )
-from textdetkit.suppress import DetectionSet, SuppressConfig, soft_nms
+from textdetkit.suppress import DetectionSet, SuppressConfig, nms
 
 from conftest import (
     naive_adaptive_max_pool,
@@ -289,7 +289,7 @@ def test_criterion_7_soft_nms_oracle():
         mode = "soft-linear" if seed % 2 == 0 else "soft-gaussian"
         cfg = SuppressConfig(mode=mode, iou_threshold=0.4, sigma=0.6)
         dets = random_detections(rng, int(rng.integers(2, 16)), 48, 48)
-        got = soft_nms(dets, cfg)
+        got = nms(dets, cfg)
         want = oracle_soft_nms(dets, cfg)
         ok &= len(got) == len(want)
         if ok:
@@ -300,7 +300,7 @@ def test_criterion_7_soft_nms_oracle():
     bits[4:20, 4:20] = True
     mask = BitMask.from_array(bits)
     pair = [ScoredDetection.from_mask(mask, 0.9), ScoredDetection.from_mask(mask, 0.8)]
-    kept = soft_nms(pair, SuppressConfig(mode="soft-linear"))
+    kept = nms(pair, SuppressConfig(mode="soft-linear"))
     ok &= len(kept) == 1 and kept[0].score == 0.9
     report(7, "soft-NMS oracle equality", ok)
 

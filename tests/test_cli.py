@@ -150,6 +150,16 @@ class TestNms:
         loaded = formats.load_detection_file(out)
         assert len(loaded.detections) == 2  # each duplicate pair collapsed
 
+    def test_hard_mode_ignores_score_floor(self, tmp_path):
+        dets = [square_detection(2, 2, 6, 0.5), square_detection(30, 30, 6, 0.3)]
+        src = tmp_path / "in.json"
+        write_detection_file(src, dets)
+        out = tmp_path / "out.json"
+        assert main(["nms", "--in", str(src), "--mode", "hard", "--score-floor", "0.9",
+                     "--out", str(out)]) == 0
+        loaded = formats.load_detection_file(out)
+        assert [d.score for d in loaded.detections] == [0.5, 0.3]
+
     def test_matches_library_pipeline(self, tmp_path, model_files):
         out = tmp_path / "out.json"
         args = ["nms", "--in"] + [str(p) for p in model_files] + [
@@ -254,6 +264,18 @@ class TestMalformedInputs:
         assert main(["eval", "--gt", str(gt), "--det", det]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "scaleFactor" in err
+
+    def test_self_crossing_gt_polygon_eval_exit_2(self, tmp_path, capsys):
+        gt = tmp_path / "gt.json"
+        gt.write_text(json.dumps({
+            "schemaVersion": "1", "imageId": "img", "imageWidth": CANVAS,
+            "imageHeight": CANVAS, "instances": [{"polygon": [[0, 0], [6, 6], [6, 0], [0, 2]]}],
+        }))
+        det = tmp_path / "det.json"
+        write_detection_file(det, [square_detection(0, 0, 6, 0.9)])
+        assert main(["eval", "--gt", str(gt), "--det", str(det)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "cross" in err
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("which", ["weights", "input"])

@@ -250,6 +250,9 @@ class TestGroundTruthFiles:
         ([[0, 0], [4, 0], [float("nan"), 4]], "finite"),
         ([[0, 0], [4, 0], {"x": 4}], "pairs"),
         ([[0, 0], [4, 0], [4]], "pairs"),
+        ([[0, 0], [6, 6], [6, 0], [0, 2]], "cross"),  # bow tie: area 12, fills 17 px
+        ([[0, 0], [4, 0], [0, 4], [5, 5]], "cross"),  # hourglass with unequal lobes
+        ([[1, 1], [7, 1], [7, 7], [3, 0], [1, 7]], "cross"),  # two edges cross a third
     ])
     def test_polygon_points(self, tmp_path, polygon, error):
         path = tmp_path / "gt.json"
@@ -260,6 +263,18 @@ class TestGroundTruthFiles:
         else:
             with pytest.raises(ParseError, match=error):
                 formats.load_ground_truth_file(path)
+
+    @pytest.mark.parametrize("polygon", [
+        # the contour of two diagonal pixels passes through (1, 1) twice
+        [[0, 0], [1, 0], [1, 1], [2, 1], [2, 2], [1, 2], [1, 1], [0, 1]],
+        # two triangles pinched at (4, 0), which lies inside the edge (0, 0)-(8, 0)
+        [[0, 0], [8, 0], [8, 8], [4, 0], [0, 8]],
+    ])
+    def test_weakly_simple_polygon_loads(self, tmp_path, polygon):
+        path = tmp_path / "gt.json"
+        path.write_text(json.dumps(_image_doc("instances", {"polygon": polygon})))
+        poly = formats.load_ground_truth_file(path).instances[0]
+        assert sorted(poly.vertices) == sorted((float(x), float(y)) for x, y in polygon)
 
     def test_random_round_trips(self, tmp_path, rng):
         for case in range(10):

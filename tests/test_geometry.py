@@ -7,6 +7,7 @@ from textdetkit.geometry import (
     AxisBox,
     BitMask,
     Polygon,
+    crosses_itself,
     iou_box,
     iou_mask,
     iou_polygon,
@@ -60,6 +61,52 @@ class TestPolygonBasics:
             frac = points_in_polygon(gx, gy, poly.vertices).mean()
             estimate = frac * (xmax - xmin) * (ymax - ymin)
             assert abs(estimate - polygon_area(poly)) <= 0.01 * polygon_area(poly)
+
+
+def oracle_proper_crossing(vertices):
+    """Pairwise segment test with exact integer orientations."""
+    n = len(vertices)
+
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    for i in range(n):
+        a, b = vertices[i], vertices[(i + 1) % n]
+        for j in range(i + 2, n):
+            c, d = vertices[j], vertices[(j + 1) % n]
+            if orient(a, b, c) * orient(a, b, d) < 0 and orient(c, d, a) * orient(c, d, b) < 0:
+                return True
+    return False
+
+
+class TestCrossesItself:
+    def test_contours_never_cross(self, rng):
+        for _ in range(10):
+            for poly in mask_to_polygons(random_blob_mask(rng, 32, 32)):
+                assert not crosses_itself(poly)
+
+    def test_long_polygon_checked_in_blocks(self):
+        t = np.linspace(0.0, 2.0 * np.pi, 3000, endpoint=False)
+        ring = np.stack([100 + 50 * np.cos(t), 100 + 50 * np.sin(t)], axis=1)
+        assert not crosses_itself(Polygon(tuple(map(tuple, ring))))
+        ring[[10, 2900]] = ring[[2900, 10]]  # two edges far apart in vertex order cross
+        assert crosses_itself(Polygon(tuple(map(tuple, ring))))
+
+    def test_matches_pairwise_oracle(self, rng):
+        # small integer grids make shared vertices, touching and collinear edges common
+        checked = crossing = 0
+        while checked < 400:
+            pts = [tuple(map(int, p)) for p in rng.integers(0, 5, size=(rng.integers(3, 9), 2))]
+            try:
+                poly = Polygon(pts)
+            except GeometryError:
+                continue
+            verts = [(int(x), int(y)) for x, y in poly.vertices]
+            want = oracle_proper_crossing(verts)
+            assert crosses_itself(poly) == want, verts
+            checked += 1
+            crossing += want
+        assert 50 < crossing < 350
 
 
 class TestPolygonIntersection:
