@@ -29,12 +29,12 @@ from .geometry import (
     AxisBox,
     BitMask,
     Polygon,
+    intersection_area,
     iou_box,
     iou_mask,
     iou_polygon,
     mask_to_polygons,
     polygon_area,
-    polygon_intersection,
     polygon_to_mask,
 )
 from .ndtensor import (
@@ -74,7 +74,7 @@ __all__ = [
     "conv2d", "adaptive_max_pool", "bilinear_upsample", "linear", "softmax",
     "layer_norm",
     "iou_box", "iou_mask", "iou_polygon", "polygon_area",
-    "polygon_intersection", "mask_to_polygons", "polygon_to_mask",
+    "intersection_area", "mask_to_polygons", "polygon_to_mask",
     "fuse_detections", "overlap_mask", "soft_box",
     "nms", "multi_scale_aggregate",
     "match_detections", "compute_metrics", "evaluate",

@@ -13,8 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from scipy import ndimage
+
 from .errors import ImageIdMismatch
-from .geometry import Polygon, mask_to_polygons, polygon_area, polygon_intersection
+from .geometry import BitMask, Polygon, intersection_area, mask_to_polygons, polygon_area
 from .suppress import DetectionSet
 
 
@@ -70,17 +72,18 @@ class EvalReport:
 
 def region_iou(gt_poly: Polygon, det_polys) -> float:
     """IoU between a ground-truth polygon and a detection region given as a
-    list of disjoint polygons (one per mask component)."""
+    list of disjoint polygons (one per mask component). The union is at least
+    the ground truth's area, which a ``Polygon`` keeps above zero."""
     det_polys = list(det_polys)
-    if not det_polys:
-        return 0.0
-    inter = 0.0
-    for piece in det_polys:
-        inter += sum(polygon_area(p) for p in polygon_intersection(gt_poly, piece))
+    inter = sum(intersection_area(gt_poly, piece) for piece in det_polys)
     union = polygon_area(gt_poly) + sum(polygon_area(p) for p in det_polys) - inter
-    if union <= 0.0:
-        return 0.0
     return min(max(inter / union, 0.0), 1.0)
+
+
+def _region(mask: BitMask) -> list[Polygon]:
+    """Outer contours of the hole-filled mask: an island in a hole counts once."""
+    filled = ndimage.binary_fill_holes(mask.crop)
+    return mask_to_polygons(BitMask.from_crop(mask.width, mask.height, mask.x0, mask.y0, filled))
 
 
 def _share_area(bounds, box) -> bool:
@@ -96,17 +99,18 @@ def match_detections(gt: GroundTruthSet, det_set: DetectionSet,
                      iou_thresh: float = 0.5) -> MatchResult:
     """Greedy one-to-one matching of detections to ground-truth polygons.
 
-    Detection regions are the outer contours of their masks. Candidate pairs
+    Detection regions are the outer contours of their hole-filled masks
+    (disjoint polygons, one per 8-connected component). Candidate pairs
     with IoU >= iou_thresh are taken in IoU-descending order (ties by ground
     truth index, then detection index). For iou_thresh > 0, a pair whose
     polygon bounds and mask foreground box share no area has IoU 0 and is
-    skipped before any clipping.
+    skipped before any intersection is computed.
     """
     if gt.image_id != det_set.image_id:
         raise ImageIdMismatch(
             f"ground truth is for {gt.image_id!r}, detections for {det_set.image_id!r}"
         )
-    det_polys = [mask_to_polygons(det.mask) for det in det_set.detections]
+    det_polys = [_region(det.mask) for det in det_set.detections]
     det_boxes = [det.mask.foreground_box() for det in det_set.detections]
     gate = iou_thresh > 0.0  # at 0 a zero-IoU pair is still a candidate
     candidates = []
@@ -151,17 +155,9 @@ def compute_metrics(matches, gt_count: int, det_count: int,
     """
     matches = list(matches)
     tp = len(matches)
-    undefined = []
-    if gt_count > 0:
-        recall = tp / gt_count
-    else:
-        recall = 0.0
-        undefined.append("recall")
-    if det_count > 0:
-        precision = tp / det_count
-    else:
-        precision = 0.0
-        undefined.append("precision")
+    undefined = [name for name, n in (("recall", gt_count), ("precision", det_count)) if n <= 0]
+    recall = tp / gt_count if gt_count > 0 else 0.0
+    precision = tp / det_count if det_count > 0 else 0.0
     if precision + recall > 0.0:
         f_measure = 2.0 * precision * recall / (precision + recall)
     else:

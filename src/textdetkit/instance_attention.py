@@ -53,6 +53,8 @@ EncoderLayer = make_dataclass(
                "__doc__": "Weights of one post-norm encoder layer (attention + FFN)."},
 )
 
+MAX_ENCODER_LAYERS = 64  # far above the deployed 3; bounds a config read from a file
+
 # Weight-file config keys and the AttentionConfig attributes they hold, in file order.
 _CONFIG_KEYS = (
     ("channels", "channels"), ("reducedChannels", "reduced_channels"),
@@ -69,14 +71,16 @@ def _layout(channels, reduced_channels, roi_height, roi_width, pool_height, pool
 
     A component is (params-table label, constructor, {tensor name: shape}); the
     constructor takes the tensors in that order. Every dimension must be >= 1,
-    the pooled grid must fit in the RoI and the heads must divide d_model.
-    ffn_hidden 0 stands for 4 * d_model.
+    at most MAX_ENCODER_LAYERS encoder layers, the pooled grid must fit in the
+    RoI and the heads must divide d_model. ffn_hidden 0 stands for 4 * d_model.
     """
     d_model = pool_height * pool_width * reduced_channels
     ffn_hidden = ffn_hidden or 4 * d_model
     if min(channels, reduced_channels, roi_height, roi_width, pool_height, pool_width,
            encoder_layers, heads, ffn_hidden, *pyramid_channels) < 1 or not pyramid_channels:
         raise ConfigError("all attention config dimensions must be >= 1")
+    if encoder_layers > MAX_ENCODER_LAYERS:
+        raise ConfigError(f"at most {MAX_ENCODER_LAYERS} encoder layers, got {encoder_layers}")
     if pool_height > roi_height or pool_width > roi_width:
         raise ConfigError("pooled size must not exceed the RoI size")
     if d_model % heads != 0:

@@ -6,8 +6,10 @@ input index) and rescores every other pooled detection against it by the
 configured mode: hard NMS drops it once the IoU exceeds the threshold,
 linear soft NMS multiplies its score by (1 - IoU) above the threshold, and
 Gaussian soft NMS multiplies it by exp(-IoU^2 / sigma) unconditionally. In
-the soft modes a detection also leaves the pool once its score falls below
-the floor; hard NMS never applies the floor. Output is sorted by final
+the soft modes a detection also leaves the pool once its rescored score
+falls below the floor; as in Bodla et al.'s loop, the floor is checked only
+after a rescoring, so the first pick (and a lone detection) is kept whatever
+its score. Hard NMS never applies the floor. Output is sorted by final
 score then input index, so it is deterministic and independent of input
 ordering for distinct scores.
 """

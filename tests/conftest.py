@@ -2,17 +2,20 @@
 
 The oracles here deliberately avoid the library code paths they check:
 convolution is a plain quadruple loop, pooling enumerates bin membership per
-pixel, point-in-polygon is a local crossing-number routine, and blobs are
-built by stamping shapes, with holes filled by scipy.
+pixel, point-in-polygon is a local crossing-number routine, polygon
+intersection clips convex trapezoid pieces pairwise (Sutherland-Hodgman), and
+blobs are built by stamping shapes, with holes filled by scipy.
 """
 
 import math
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
-from textdetkit.geometry import BitMask
+from textdetkit.geometry import BitMask, Polygon
 from textdetkit.pseudolabel import ScoredDetection
 
 
@@ -96,6 +99,146 @@ def points_in_polygon(xs, ys, vertices):
         xi = x0 + (ys - y0) * (x1 - x0) / (y1 - y0)
         inside ^= crosses & (xs < xi)
     return inside
+
+
+# ---------------------------------------------------------------------------
+# polygon intersection by convex clipping
+
+
+def shoelace(vertices):
+    n = len(vertices)
+    return sum(vertices[i][0] * vertices[(i + 1) % n][1] - vertices[(i + 1) % n][0] * vertices[i][1]
+               for i in range(n)) / 2.0
+
+
+def is_convex(p: Polygon) -> bool:
+    verts = p.vertices
+    n = len(verts)
+    for i in range(n):
+        ax, ay = verts[i - 1]
+        bx, by = verts[i]
+        cx, cy = verts[(i + 1) % n]
+        cross = (bx - ax) * (cy - by) - (by - ay) * (cx - bx)
+        if cross < 0.0:
+            return False
+    return True
+
+
+def _line_intersect(s, e, a, b):
+    # Intersection of segment s->e with the infinite line through a->b.
+    dcx, dcy = b[0] - a[0], b[1] - a[1]
+    dpx, dpy = e[0] - s[0], e[1] - s[1]
+    denom = dpx * dcy - dpy * dcx
+    t = ((a[0] - s[0]) * dcy - (a[1] - s[1]) * dcx) / denom
+    return (s[0] + t * dpx, s[1] + t * dpy)
+
+
+def _clip_convex(subject, clip):
+    """Sutherland-Hodgman clip of a CCW subject by a convex CCW clip polygon."""
+    output = list(subject)
+    n = len(clip)
+    for i in range(n):
+        if not output:
+            return []
+        a = clip[i]
+        b = clip[(i + 1) % n]
+        dcx, dcy = b[0] - a[0], b[1] - a[1]
+
+        def inside(p):
+            return dcx * (p[1] - a[1]) - dcy * (p[0] - a[0]) >= 0.0
+
+        input_list = output
+        output = []
+        s = input_list[-1]
+        s_in = inside(s)
+        for e in input_list:
+            e_in = inside(e)
+            if e_in:
+                if not s_in:
+                    output.append(_line_intersect(s, e, a, b))
+                output.append(e)
+            elif s_in:
+                output.append(_line_intersect(s, e, a, b))
+            s, s_in = e, e_in
+    return output
+
+
+def _clean_piece(verts):
+    """Drop consecutive (near-)duplicates and reject slivers; None if empty."""
+    pts = []
+    for x, y in verts:
+        if not pts or abs(x - pts[-1][0]) > 1e-12 or abs(y - pts[-1][1]) > 1e-12:
+            pts.append((x, y))
+    while len(pts) > 1 and abs(pts[0][0] - pts[-1][0]) <= 1e-12 and abs(pts[0][1] - pts[-1][1]) <= 1e-12:
+        pts.pop()
+    if len(pts) < 3:
+        return None
+    if abs(shoelace(pts)) <= 1e-12:
+        return None
+    return pts
+
+
+def _convex_pieces(p: Polygon):
+    """Decompose the even-odd region of a polygon into convex trapezoids.
+
+    Bands between consecutive distinct vertex y-levels are cut by the active
+    edges; pairs of crossings bound one trapezoid each. Robust for weakly
+    simple polygons (mask contours with pinch points).
+    """
+    if is_convex(p):
+        return [list(p.vertices)]
+    verts = p.vertices
+    n = len(verts)
+    edges = []
+    for i in range(n):
+        v0, v1 = verts[i], verts[(i + 1) % n]
+        if v0[1] != v1[1]:
+            edges.append((v0, v1))
+    levels = sorted({v[1] for v in verts})
+    pieces = []
+    for ya, yb in zip(levels, levels[1:]):
+        active = []
+        for (x0, y0), (x1, y1) in edges:
+            if min(y0, y1) <= ya and max(y0, y1) >= yb:
+                inv = 1 / (y1 - y0)  # stays exact for Fraction input
+                xa = x0 + (ya - y0) * inv * (x1 - x0)
+                xb = x0 + (yb - y0) * inv * (x1 - x0)
+                active.append(((xa + xb) / 2.0, xa, xb))
+        active.sort()
+        for k in range(0, len(active) - 1, 2):
+            _, la, lb = active[k]
+            _, ra, rb = active[k + 1]
+            quad = _clean_piece([(la, ya), (ra, ya), (rb, yb), (lb, yb)])
+            if quad is not None:
+                pieces.append(quad)
+    return pieces
+
+
+def polygon_intersection(a: Polygon, b: Polygon) -> list[Polygon]:
+    """Intersection region of two polygons as a list of disjoint pieces.
+
+    Both operands are cut into convex pieces (a convex polygon is its own
+    single piece) and all cross pairs are clipped, so the returned pieces
+    tile the intersection without overlap. An empty list means disjoint.
+    """
+    out = []
+    for pa in _convex_pieces(a):
+        for pb in _convex_pieces(b):
+            piece = _clean_piece(_clip_convex(pa, pb))
+            if piece is not None:
+                out.append(Polygon(tuple(piece)))
+    return out
+
+
+def oracle_intersection_area(a, b, exact=False):
+    """Summed area of the clipped pieces. With ``exact`` the clipping runs in
+    rational arithmetic (slow), so only the pieces' float vertices round;
+    in floats, clipping near-parallel edges can be off by 1e-12 or divide by
+    zero. Axis-parallel edges on dyadic coordinates clip exactly in floats."""
+    if exact:
+        a, b = (SimpleNamespace(vertices=tuple((Fraction(x), Fraction(y)) for x, y in p.vertices))
+                for p in (a, b))
+    return sum(shoelace(p.vertices) for p in polygon_intersection(a, b))
 
 
 # ---------------------------------------------------------------------------

@@ -515,8 +515,29 @@ class TestForward:
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
 
+    def test_too_many_encoder_layers_exit_5(self, tmp_path, capsys):
+        config, tensors = _module_config("inter")
+        weights = tmp_path / "weights.json"
+        formats.save_tensor_file(weights, tensors, module="inter",
+                                 config={**config, "encoderLayers": 200000})
+        inputs = tmp_path / "input.json"
+        formats.save_tensor_file(inputs, {"roi": np.ones((1, 8, 4, 4)),
+                                          "pyramid.0": np.ones((8, 2, 2))})
+        assert main(["forward", "--module", "inter", "--weights", str(weights),
+                     "--input", str(inputs), "--out", str(tmp_path / "o.json")]) == 5
+        assert capsys.readouterr().err.startswith("error: at most 64 encoder layers")
+
 
 class TestParams:
+    def test_too_many_encoder_layers_exit_4(self, tmp_path, capsys):
+        config, _ = _module_config("inter")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**config, "encoderLayers": 200000}))
+        assert main(["params", "--module", "inter", "--config", str(path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: at most 64 encoder layers")
+
     def test_toy_intra_table(self, tmp_path, capsys):
         config_path = tmp_path / "cfg.json"
         config_path.write_text(json.dumps({"channels": 1, "kernelSizes": [3, 3, 3]}))

@@ -276,6 +276,16 @@ class TestCorpusEvaluate:
 
 
 class TestRegionIou:
+    def test_island_in_a_hole_counted_once(self):
+        # the region is the hole-filled ring (100 px), which holds the island
+        bits = np.zeros((CANVAS, CANVAS), bool)
+        bits[10:20, 10:20] = True
+        bits[12:18, 12:18] = False
+        bits[14:16, 14:16] = True
+        ds = det_set([ScoredDetection.from_mask(BitMask.from_array(bits), 0.9)])
+        result = match_detections(gt_set([square_poly(14, 14, 2)]), ds, iou_thresh=0.0)
+        assert result.matches == [(0, 0, 4 / 100)]
+
     def test_empty_region(self):
         assert region_iou(square_poly(0, 0, 4), []) == 0.0
 

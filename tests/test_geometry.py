@@ -1,5 +1,11 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.spatial import ConvexHull
 
 from textdetkit.errors import GeometryError, ShapeError
@@ -8,17 +14,16 @@ from textdetkit.geometry import (
     BitMask,
     Polygon,
     crosses_itself,
+    intersection_area,
     iou_box,
     iou_mask,
     iou_polygon,
-    is_convex,
     mask_to_polygons,
     polygon_area,
-    polygon_intersection,
     polygon_to_mask,
 )
 
-from conftest import points_in_polygon, random_blob_mask
+from conftest import is_convex, oracle_intersection_area, points_in_polygon, random_blob_mask
 
 UNIT_SQUARE = Polygon(((0, 0), (1, 0), (1, 1), (0, 1)))
 
@@ -112,33 +117,159 @@ class TestCrossesItself:
 class TestPolygonIntersection:
     def test_disjoint_squares(self):
         other = UNIT_SQUARE.translated(5.0, 0.0)
-        assert polygon_intersection(UNIT_SQUARE, other) == []
+        assert intersection_area(UNIT_SQUARE, other) == 0.0
 
     def test_identical_squares(self):
-        pieces = polygon_intersection(UNIT_SQUARE, UNIT_SQUARE)
-        assert len(pieces) == 1
-        assert polygon_area(pieces[0]) == 1.0
+        assert intersection_area(UNIT_SQUARE, UNIT_SQUARE) == 1.0
 
     def test_half_overlap(self):
         shifted = UNIT_SQUARE.translated(0.5, 0.0)
-        pieces = polygon_intersection(UNIT_SQUARE, shifted)
-        assert abs(sum(polygon_area(p) for p in pieces) - 0.5) <= 1e-12
+        assert abs(intersection_area(UNIT_SQUARE, shifted) - 0.5) <= 1e-12
 
     def test_nonconvex_decomposition(self):
         # L-shape clipped by a square covering its notch corner
         ell = Polygon(((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)))
         assert not is_convex(ell)
         square = Polygon(((0.5, 0.5), (1.5, 0.5), (1.5, 1.5), (0.5, 1.5)))
-        pieces = polygon_intersection(ell, square)
-        area = sum(polygon_area(p) for p in pieces)
-        assert abs(area - 0.75) <= 1e-9
+        assert abs(intersection_area(ell, square) - 0.75) <= 1e-9
 
     def test_intersection_area_bounded(self, rng):
         for _ in range(20):
             a = random_convex_polygon(rng, scale=3.0)
             b = random_convex_polygon(rng, scale=3.0)
-            inter = sum(polygon_area(p) for p in polygon_intersection(a, b))
+            inter = intersection_area(a, b)
             assert inter <= min(polygon_area(a), polygon_area(b)) + 1e-9
+
+
+SHIFTS = st.sampled_from((0.0, 1.0, -1.0, 0.5, -0.5, 2.5))
+
+
+@st.composite
+def contours(draw):
+    """One outer contour of a small random mask; pinch points are common."""
+    bits = draw(arrays(bool, (draw(st.integers(1, 7)), draw(st.integers(1, 7)))))
+    polys = mask_to_polygons(BitMask.from_array(bits))
+    if not polys:
+        return UNIT_SQUARE
+    return draw(st.sampled_from(polys))
+
+
+def is_simple(poly):
+    """Whether no two edges meet, except adjacent ones at their shared vertex
+    (so no pinch, touching vertex, overlap or spike). Rounding errs toward
+    rejecting."""
+    v = poly.vertices
+    n = len(v)
+
+    def orient(a, b, c):
+        return np.sign((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
+
+    for i in range(n):
+        a, b = v[i], v[(i + 1) % n]
+        if orient(v[i - 1], a, b) == 0 and np.dot(np.subtract(a, v[i - 1]), np.subtract(b, a)) < 0:
+            return False  # the boundary turns back on itself at a
+        for j in range(i + 2, n - (i == 0)):
+            c, d = v[j], v[(j + 1) % n]
+            if orient(a, b, c) * orient(a, b, d) <= 0 and orient(c, d, a) * orient(c, d, b) <= 0:
+                if orient(a, b, c) != 0 or orient(a, b, d) != 0:
+                    return False
+                span = sorted((np.dot(np.subtract(c, a), np.subtract(b, a)),
+                               np.dot(np.subtract(d, a), np.subtract(b, a))))
+                if span[1] >= 0 and span[0] <= np.dot(np.subtract(b, a), np.subtract(b, a)):
+                    return False  # collinear and overlapping or touching
+    return True
+
+
+@st.composite
+def simple_polygons(draw):
+    """Random simple float polygons on [0, 8]^2: points in angular order
+    around their mean, so the polygon is star-shaped, and an area of at
+    least 0.01, since the clipper's 1e-12 thresholds are absolute. A
+    contour stands in for a rejected draw."""
+    coord = st.integers(0, 10**6).map(lambda v: v * 8e-6)
+    pts = np.array(draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=8)))
+    rel = pts - pts.mean(axis=0)
+    pts = pts[np.argsort(np.arctan2(rel[:, 1], rel[:, 0]), kind="stable")]
+    try:
+        poly = Polygon(pts)
+    except GeometryError:
+        return draw(contours())
+    if polygon_area(poly) < 0.01 or crosses_itself(poly) or not is_simple(poly):
+        return draw(contours())
+    return poly
+
+
+def assert_matches_oracle(a, b):
+    got = intersection_area(a, b)
+    try:
+        want = oracle_intersection_area(a, b)
+    except ZeroDivisionError:
+        want = math.inf
+    if not abs(got - want) <= 1e-12:  # the float clipper may round near-parallel edges; settle exactly
+        want = oracle_intersection_area(a, b, exact=True)
+    assert abs(got - want) <= 1e-12
+
+
+class TestIntersectionArea:
+    """The boundary integral against the convex-piece clipper of conftest."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(contours(), contours(), SHIFTS, SHIFTS)
+    @example(Polygon(((0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (1, 2), (1, 1), (0, 1))),
+             UNIT_SQUARE, 1.0, 1.0)  # a pinch vertex on the other's corner
+    def test_mask_contours(self, a, b, dx, dy):
+        assert_matches_oracle(a, b.translated(dx, dy))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(contours(), simple_polygons()))
+    def test_identical_polygons(self, p):
+        assert_matches_oracle(p, p)
+        assert abs(intersection_area(p, p) - polygon_area(p)) <= 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.floats(-50, 50), st.floats(-50, 50), st.floats(0.125, 20), st.floats(0.125, 20),
+           st.floats(-20, 20), st.booleans())
+    def test_edge_adjacent_squares(self, x, y, size, other, slide, stacked):
+        a = Polygon(((x, y), (x + size, y), (x + size, y + size), (x, y + size)))
+        # b shares the line x + size (or y + size when stacked), the same float on both sides
+        x0, y0 = (x + slide, y + size) if stacked else (x + size, y + slide)
+        b = Polygon(((x0, y0), (x0 + other, y0), (x0 + other, y0 + other), (x0, y0 + other)))
+        for p, q in ((a, b), (b, a)):
+            assert_matches_oracle(p, q)
+            assert abs(intersection_area(p, q)) <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(simple_polygons(), simple_polygons())
+    @example(UNIT_SQUARE,  # b's boundary crosses a's top edge at a vertex of b
+             Polygon(((0.25, 0.5), (0.5, 1.0), (0.9, 1.5), (1.5, 1.5), (1.5, 0.5))))
+    @example(UNIT_SQUARE,  # nearly collinear top edges cross at (0.5, 1); they share nothing
+             Polygon(((-1, -1), (2, -1), (2, 1 + 1.5e-10), (-1, 1 - 1.5e-10))))
+    def test_simple_float_polygons(self, a, b):
+        assert_matches_oracle(a, b)
+
+    def test_spikes_cancel(self):
+        # zero-width spikes add no area, also where they run along the other's edge
+        spiked = Polygon(((1, 0), (0, 1), (0, 0), (0, 1), (0, 0)))
+        assert intersection_area(spiked, spiked) == 0.5 == polygon_area(spiked)
+        assert intersection_area(spiked, UNIT_SQUARE) == 0.5
+        ear = Polygon(((0, 0), (2, 0), (3, 0), (2, 0), (2, 2), (0, 2)))
+        assert intersection_area(ear, Polygon(((1, -1), (3, -1), (3, 1), (1, 1)))) == 1.0
+        beside = Polygon(((2, 0), (3, 0), (3, 1), (2, 1)))
+        assert intersection_area(ear, beside) == 0.0
+        assert intersection_area(beside, ear) == 0.0
+
+    def test_long_polygons_stay_in_small_memory(self):
+        t = np.linspace(0.0, 2.0 * np.pi, 3000, endpoint=False)
+        ring = Polygon(tuple(map(tuple, np.stack([100 + 50 * np.cos(t),
+                                                  100 + 50 * np.sin(t)], axis=1))))
+        tracemalloc.start()
+        try:
+            intersection_area(ring, ring.translated(10.5, 3.25))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6  # one 3000 x 3000 float64 array alone is 72 MB
+        assert abs(intersection_area(ring, ring) - polygon_area(ring)) <= 1e-9 * polygon_area(ring)
 
 
 class TestIoU:

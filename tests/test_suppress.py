@@ -136,6 +136,14 @@ class TestSoftNms:
             kept = nms([a, b], SuppressConfig(mode=mode, score_floor=0.001))
             assert [(d.mask, d.score) for d in kept] == [(a.mask, 0.9)]
 
+    def test_floor_checked_only_after_a_rescoring(self):
+        # the first pick is never rescored, so the floor cannot drop it
+        cfg = SuppressConfig(mode="soft-linear", score_floor=0.5)
+        lone = square_detection(30, 30, 6, 0.3)
+        assert [d.score for d in nms([lone], cfg)] == [0.3]
+        kept = nms([lone, square_detection(2, 2, 6, 0.9)], cfg)
+        assert [d.score for d in kept] == [0.9]
+
     def test_equal_scores_sorted_by_index(self):
         a = square_detection(2, 2, 6, 0.5)
         b = square_detection(30, 30, 6, 0.5)
