@@ -25,12 +25,15 @@ import numpy as np
 
 from .errors import ParseError, _json_int
 from .evaluate import GroundTruthSet
-from .geometry import (OVERHANG_TOL, AxisBox, BitMask, Polygon, crosses_itself,
-                       mask_to_polygons, polygon_to_mask)
+from .geometry import (OVERHANG_TOL, AxisBox, BitMask, Polygon, crosses_at_touch,
+                       crosses_itself, mask_to_polygons, polygon_to_mask)
 from .pseudolabel import PseudoLabel, ScoredDetection
 from .suppress import DetectionSet
 
 SCHEMA_VERSION = "1"
+# the largest frame, in pixels, that a file may declare: masks and rasters
+# are sized by the frame, so a larger one is refused before any is allocated
+MAX_PIXELS = 2**28
 
 
 # ---------------------------------------------------------------------------
@@ -38,51 +41,46 @@ SCHEMA_VERSION = "1"
 
 
 def format_float(x: float) -> str:
-    if not math.isfinite(x):
+    """A Python float with 17 significant digits, always with a decimal point
+    or exponent; non-finite values raise ValueError."""
+    s = format(x, ".17g")
+    if "." in s or "e" in s:
+        return s
+    if not math.isfinite(x):  # "inf" and "nan" carry neither
         raise ValueError(f"cannot serialize non-finite number {x}")
-    s = format(float(x), ".17g")
-    if "." not in s and "e" not in s and "E" not in s:
-        s += ".0"
-    return s
+    return s + ".0"
 
 
-def _emit(obj, out: list) -> None:
-    if isinstance(obj, dict):
-        out.append("{")
-        first = True
-        for key, value in obj.items():
-            if not first:
-                out.append(",")
-            first = False
-            out.append(json.dumps(str(key), ensure_ascii=False))
-            out.append(":")
-            _emit(value, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, value in enumerate(obj):
-            if i:
-                out.append(",")
-            _emit(value, out)
-        out.append("]")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(float(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=False))
-    elif obj is None:
-        out.append("null")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+_encode_str = json.JSONEncoder(ensure_ascii=False).encode
+
+# the text of each JSON scalar, keyed on its exact Python type, so that a bool
+# is not taken for an int
+_SCALAR_TEXT = {
+    str: _encode_str,
+    int: int.__repr__,
+    float: format_float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
 
 
 def dumps_canonical(obj) -> str:
-    out: list = []
-    _emit(obj, out)
-    return "".join(out)
+    """Canonical JSON text: no whitespace, keys in insertion order and written
+    as ``str(key)``, tuples as lists, numpy integer and floating scalars as
+    the equal Python number. Anything else raises TypeError."""
+    text = _SCALAR_TEXT.get(type(obj))
+    if text is not None:
+        return text(obj)
+    if isinstance(obj, dict):
+        return "{" + ",".join([_encode_str(str(key)) + ":" + dumps_canonical(value)
+                               for key, value in obj.items()]) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join([dumps_canonical(value) for value in obj]) + "]"
+    if isinstance(obj, np.integer):
+        return str(int(obj))
+    if isinstance(obj, np.floating):
+        return format_float(float(obj))
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def write_canonical(path, obj) -> None:
@@ -97,6 +95,13 @@ def read_json(path):
             return json.load(fh)
     except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
+
+
+def _check_frame(width: int, height: int, what: str) -> None:
+    if width < 1 or height < 1:
+        raise ParseError(f"{what} dimensions must be positive, got {width}x{height}")
+    if width * height > MAX_PIXELS:
+        raise ParseError(f"{what} of {width}x{height} exceeds {MAX_PIXELS} pixels")
 
 
 def _check_schema(doc, path) -> None:
@@ -156,8 +161,7 @@ def rle_decode(obj) -> BitMask:
     width = _json_int(obj.get("width"), "RLE width")
     height = _json_int(obj.get("height"), "RLE height")
     counts = [_json_int(c, "RLE count") for c in obj["counts"]]
-    if width < 1 or height < 1:
-        raise ParseError(f"invalid RLE mask dimensions {width}x{height}")
+    _check_frame(width, height, "RLE mask")
     if any(c < 0 for c in counts) or sum(counts) != width * height:
         raise ParseError(
             f"RLE counts sum {sum(counts)} != {width}x{height} = {width * height}"
@@ -206,8 +210,7 @@ def _read_image_doc(path, list_key):
         raise ParseError(f"{path}: bad image header: no 'imageId'")
     width = _json_int(doc.get("imageWidth"), f"{path}: imageWidth")
     height = _json_int(doc.get("imageHeight"), f"{path}: imageHeight")
-    if width < 1 or height < 1:
-        raise ParseError(f"{path}: image dimensions must be positive, got {width}x{height}")
+    _check_frame(width, height, f"{path}: image")
     records = doc.get(list_key)
     if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
         raise ParseError(f"{path}: {list_key!r} must be a list of objects")
@@ -388,8 +391,8 @@ def load_ground_truth_file(path) -> GroundTruthSet:
         poly = _polygon_from_json(record.get("polygon"), width, height, path)
         # a crossing polygon's shoelace area disagrees with the region it
         # rasterizes to, so its IoU would be silently wrong
-        if crosses_itself(poly):
-            raise ParseError(f"{path}: instance {k}: polygon edges cross")
+        if crosses_itself(poly) or crosses_at_touch(poly):
+            raise ParseError(f"{path}: instance {k}: polygon boundary crosses itself")
         instances.append(poly)
         ignore = record.get("ignore", False)
         if type(ignore) is not bool:
@@ -403,30 +406,22 @@ def load_ground_truth_file(path) -> GroundTruthSet:
 # named tensor files
 
 
-def _tensors_to_json(tensors: dict) -> dict:
-    payload = {}
-    for name in sorted(tensors):
-        arr = np.ascontiguousarray(np.asarray(tensors[name], dtype=np.float64))
-        payload[name] = {
-            "shape": [int(e) for e in arr.shape],
-            "data": arr.ravel().tolist(),
-        }
-    return payload
-
-
-def tensor_checksum(payload: dict) -> str:
-    return hashlib.sha256(dumps_canonical(payload).encode("utf-8")).hexdigest()
+def _payload(arrays: dict) -> tuple[str, str]:
+    """The canonical text of a tensor payload and its sha256: the payload is
+    {name: {"shape", "data"}} in name order, with data as float64 values in
+    row-major order."""
+    text = dumps_canonical({name: {"shape": list(arrays[name].shape),
+                                   "data": arrays[name].ravel().tolist()}
+                            for name in sorted(arrays)})
+    return text, hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def save_tensor_file(path, tensors: dict, module: str = "tensors", config=None) -> None:
-    payload = _tensors_to_json(tensors)
-    write_canonical(path, {
-        "schemaVersion": SCHEMA_VERSION,
-        "module": module,
-        "config": config,
-        "tensors": payload,
-        "checksum": tensor_checksum(payload),
-    })
+    payload, checksum = _payload({name: np.asarray(t, dtype=np.float64)
+                                  for name, t in tensors.items()})
+    head = dumps_canonical({"schemaVersion": SCHEMA_VERSION, "module": module, "config": config})
+    with open(path, "w", encoding="utf-8") as fh:  # the payload text goes in as hashed
+        fh.writelines([head[:-1], ',"tensors":', payload, ',"checksum":"', checksum, '"}\n'])
 
 
 def load_tensor_file(path):
@@ -436,11 +431,9 @@ def load_tensor_file(path):
     raw = doc.get("tensors")
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: 'tensors' must be an object")
-    payload = {}
     tensors = {}
     for name in sorted(raw):
-        entry = raw.pop(name)  # popped, so that the del below frees its parsed values
-        entry = entry if isinstance(entry, dict) else {}
+        entry = raw[name] if isinstance(raw[name], dict) else {}
         shape, data = entry.get("shape"), entry.get("data")
         if not isinstance(shape, list) or not isinstance(data, list):
             raise ParseError(f"{path}: tensor {name!r} needs a 'shape' list and a 'data' list")
@@ -454,13 +447,11 @@ def load_tensor_file(path):
                 f"({expected} values) but carries {len(data)}"
             )
         arr = _json_numbers(data, f"{path}: tensor {name!r} data")
-        del entry, data  # free the parsed values before the payload holds new ones
         if not np.isfinite(arr).all():
             raise ParseError(f"{path}: tensor {name!r} holds a non-finite value")
-        payload[name] = {"shape": shape, "data": arr.tolist()}
         tensors[name] = arr.reshape(shape)
     stored = doc.get("checksum")
-    actual = tensor_checksum(payload)
+    _, actual = _payload(tensors)
     if stored != actual:
         raise ParseError(f"{path}: checksum mismatch ({stored!r} != {actual!r})")
     return str(doc.get("module", "tensors")), doc.get("config"), tensors

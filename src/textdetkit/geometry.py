@@ -166,6 +166,44 @@ def crosses_itself(p: Polygon) -> bool:
                for *_, side_s, side_e, at_s, at_e in _edge_pairs(v, v))
 
 
+def crosses_at_touch(p: Polygon) -> bool:
+    """True when the boundary crosses over itself at a point where it touches
+    itself, a repeated vertex or a vertex inside another edge, so the polygon
+    is not weakly simple although :func:`crosses_itself` finds no proper
+    crossing: two passes through the point, each leaving along two
+    directions, interleave around it. Mask-contour pinch points do not
+    interleave. Two passes that leave along a shared direction (collinear
+    overlaps, as in zero-width spikes) are not judged. O(n^2) time."""
+    verts, n = p.vertices, len(p.vertices)
+    v = np.asarray(verts).T
+
+    def arms(i, j, k):  # directions from vertex j towards vertices i and k
+        (x, y), (xi, yi), (xk, yk) = verts[j], verts[i], verts[k % n]
+        return math.atan2(yi - y, xi - x), math.atan2(yk - y, xk - x)
+
+    passes: dict = {}  # point -> (i, j, k) of each pass i -> j -> k through it
+    for j, point in enumerate(verts):
+        passes.setdefault(point, []).append((j - 1, j, j + 1))
+    first = 0  # the block's first edge
+    for s, d, rs, _, side_s, *_ in _edge_pairs(v, v):
+        along = rs[0] * d[0] + rs[1] * d[1]
+        inside = (side_s == 0) & (0 < along) & (along < d[0] * d[0] + d[1] * d[1])
+        for i, j in zip(*np.nonzero(inside)):  # vertex j inside edge first + i
+            passes[verts[j]].append((first + i, j, first + i + 1))
+        first += s.shape[1]
+    for through in passes.values():
+        if len(through) < 2:
+            continue
+        through = [arms(*ijk) for ijk in through]
+        if len({a for pair in through for a in pair}) < 2 * len(through):
+            continue  # two arms share a direction
+        for k, (a1, a2) in enumerate(through):
+            lo, hi = min(a1, a2), max(a1, a2)
+            if any((lo < b1 < hi) != (lo < b2 < hi) for b1, b2 in through[k + 1:]):
+                return True
+    return False
+
+
 def _boundary_integral(a, b, origin) -> float:
     """Sum of x*dy - y*dx about ``origin`` over the pieces of a's boundary
     that have b just beside them on their -x side (above, if horizontal).

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from textdetkit import formats, instance_attention, multipath
 from textdetkit.cli import main
@@ -358,6 +363,34 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "scaleFactor" in err
 
+    # each file declares a 100000x100000 frame in its header or its one RLE
+    # mask, with a run or a polygon that spans it: 10^10 pixels, refused
+    # before a raster of that frame is allocated
+    @pytest.mark.parametrize("command, header, mask", [
+        ("eval", 100000, 100000), ("nms", 100000, 100000), ("nms", 8, 100000)],
+        ids=["gt-header", "detection-header", "rle-mask"])
+    def test_huge_frame_exit_2(self, tmp_path, capsys, command, header, mask):
+        side = 100000
+        record = {"box": [0, 0, header, header], "score": 0.5,
+                  "mask": {"width": mask, "height": mask, "counts": [0, mask * mask]}}
+        doc = {"schemaVersion": "1", "imageId": "img", "imageWidth": header,
+               "imageHeight": header}
+        det, gt = tmp_path / "det.json", tmp_path / "gt.json"
+        det.write_text(json.dumps({**doc, "detections": [record]}))
+        gt.write_text(json.dumps({**doc, "instances": [
+            {"polygon": [[0, 0], [side, 0], [side, side], [0, side]]}]}))
+        argv = (["eval", "--gt", str(gt), "--det", str(det)] if command == "eval" else
+                ["nms", "--in", str(det), "--out", str(tmp_path / "o.json")])
+        tracemalloc.start()
+        try:
+            assert main(argv) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{side}x{side} exceeds {2**28} pixels" in err
+
 
 class TestEval:
     def _write_gt(self, path, polys, ignore=None):
@@ -526,6 +559,67 @@ class TestForward:
         assert main(["forward", "--module", "inter", "--weights", str(weights),
                      "--input", str(inputs), "--out", str(tmp_path / "o.json")]) == 5
         assert capsys.readouterr().err.startswith("error: at most 64 encoder layers")
+
+
+TENSOR_FILE_MUTATIONS = ("drop-doc-key", "drop-entry-key", "shape-entry", "truncate-data",
+                         "nest-data", "non-dict-entry", "checksum")
+
+
+class TestMutatedTensorFiles:
+    """A valid weights/input pair for ``forward`` with one file mutated: the
+    command fails with exit 2 or 5 and an error line, never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def docs(self, tmp_path_factory):
+        config, tensors = _module_config("intra")
+        base = tmp_path_factory.mktemp("valid")
+        formats.save_tensor_file(base / "weights.json", tensors, module="intra", config=config)
+        formats.save_tensor_file(base / "input.json",
+                                 {"input": np.linspace(-1, 1, 32).reshape(2, 4, 4)})
+        return {which: (base / f"{which}.json").read_text() for which in ("weights", "input")}
+
+    @settings(max_examples=120, deadline=None)
+    @given(which=st.sampled_from(["weights", "input"]),
+           kind=st.sampled_from(TENSOR_FILE_MUTATIONS), data=st.data())
+    def test_forward_fails_cleanly(self, docs, tmp_path_factory, which, kind, data):
+        doc = json.loads(docs[which])
+        name = data.draw(st.sampled_from(sorted(doc["tensors"])), label="tensor")
+        entry = doc["tensors"][name]
+
+        def pick(seq, label):
+            return data.draw(st.sampled_from(seq), label=label)
+
+        def index(seq):
+            return data.draw(st.integers(0, len(seq) - 1), label="index")
+
+        if kind == "drop-doc-key":
+            del doc[pick(["schemaVersion", "tensors", "checksum"], "key")]
+        elif kind == "drop-entry-key":
+            del entry[pick(["shape", "data"], "key")]
+        elif kind == "shape-entry":
+            i = index(entry["shape"])
+            extent = entry["shape"][i]
+            entry["shape"][i] = pick([float(extent), True, str(extent), 0, -1], "extent")
+        elif kind == "truncate-data":
+            entry["data"] = entry["data"][:index(entry["data"])]
+        elif kind == "nest-data":
+            i = index(entry["data"])
+            entry["data"][i] = [entry["data"][i]]
+        elif kind == "non-dict-entry":
+            doc["tensors"][name] = pick([None, 3, "w", [entry["data"][0]], [entry]], "entry")
+        else:
+            i = index(doc["checksum"])
+            digit = "1" if doc["checksum"][i] == "0" else "0"
+            doc["checksum"] = doc["checksum"][:i] + digit + doc["checksum"][i + 1:]
+        work = tmp_path_factory.mktemp("mutated")
+        paths = {w: work / f"{w}.json" for w in ("weights", "input")}
+        for w, path in paths.items():
+            path.write_text(json.dumps(doc) if w == which else docs[w])
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["forward", "--module", "intra", "--weights", str(paths["weights"]),
+                         "--input", str(paths["input"]), "--out", str(work / "o.json")])
+        assert code in (2, 5) and err.getvalue().startswith("error:")
 
 
 class TestParams:

@@ -46,6 +46,27 @@ class TestCanonicalJson:
         assert formats.dumps_canonical(obj) == formats.dumps_canonical(obj)
         assert formats.dumps_canonical(obj) == '{"a":[1,2.5,"x"],"b":{"c":true,"d":null}}'
 
+    @pytest.mark.parametrize("value, python", [
+        (np.float64(0.1), 0.1), (np.float64(-3.0), -3.0), (np.float32(0.1), float(np.float32(0.1))),
+        (np.int64(-7), -7), (np.int64(2**62), 2**62), (np.uint8(200), 200),
+    ])
+    def test_numpy_scalars_write_as_python_numbers(self, value, python):
+        assert formats.dumps_canonical(value) == formats.dumps_canonical(python)
+        assert formats.dumps_canonical([value, {"k": value}]) == \
+            formats.dumps_canonical([python, {"k": python}])
+
+    def test_tuples_and_key_types(self):
+        assert formats.dumps_canonical((1, (2.0, "é"))) == formats.dumps_canonical([1, [2.0, "é"]])
+        assert formats.dumps_canonical({1: True, None: [], 2.5: {}}) == \
+            '{"1":true,"None":[],"2.5":{}}'
+
+    @pytest.mark.parametrize("value", [{1, 2}, np.zeros(2), np.bool_(True), [np.bool_(False)],
+                                       {"k": object()}],
+                             ids=["set", "ndarray", "np.bool_", "nested np.bool_", "object"])
+    def test_other_types_rejected(self, value):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            formats.dumps_canonical(value)
+
 
 class TestRle:
     def test_round_trip_random(self, rng):
@@ -253,6 +274,9 @@ class TestGroundTruthFiles:
         ([[0, 0], [6, 6], [6, 0], [0, 2]], "cross"),  # bow tie: area 12, fills 17 px
         ([[0, 0], [4, 0], [0, 4], [5, 5]], "cross"),  # hourglass with unequal lobes
         ([[1, 1], [7, 1], [7, 7], [3, 0], [1, 7]], "cross"),  # two edges cross a third
+        # through (0.5, 1), a vertex inside the edge (0, 1)-(1, 1), from below to
+        # above: shoelace area 1.5, even-odd area 2.0
+        ([[0, 1], [1, 1], [1, 0], [0.5, 1], [1, 8]], "cross"),
     ])
     def test_polygon_points(self, tmp_path, polygon, error):
         path = tmp_path / "gt.json"
@@ -323,6 +347,21 @@ class TestHeaderAndFlagTypes:
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError, match=match):
             load(path)
+
+    @pytest.mark.parametrize("height", [2**14, 2**14 + 1])
+    def test_frame_cap(self, tmp_path, height):
+        path = tmp_path / "gt.json"
+        path.write_text(json.dumps({"schemaVersion": "1", "imageId": "img",
+                                    "imageWidth": 2**14, "imageHeight": height, "instances": []}))
+        rle = {"width": 2**14, "height": height, "counts": [2**14 * height]}
+        if 2**14 * height <= formats.MAX_PIXELS:
+            assert formats.load_ground_truth_file(path).image_height == height
+            assert formats.rle_decode(rle).is_empty()
+        else:
+            with pytest.raises(ParseError, match="exceeds"):
+                formats.load_ground_truth_file(path)
+            with pytest.raises(ParseError, match="exceeds"):
+                formats.rle_decode(rle)
 
     def test_ignore_defaults_to_false(self, tmp_path):
         path = tmp_path / "gt.json"
@@ -435,6 +474,37 @@ class TestTensorFiles:
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError, match="shape"):
             formats.load_tensor_file(path)
+
+    def test_golden_bytes(self, tmp_path):
+        path = tmp_path / "golden.json"
+        formats.save_tensor_file(
+            path, {"w": np.array([[1.5, -2.0], [1e-300, 1 / 3]]), "b": np.arange(3)},
+            module="intra",
+            config={"kernelSizes": [7, 5, 3], "extra": {"flag": True, "none": None}, "name": "x"})
+        assert path.read_bytes() == (
+            b'{"schemaVersion":"1","module":"intra","config":{"kernelSizes":[7,5,3],'
+            b'"extra":{"flag":true,"none":null},"name":"x"},"tensors":{"b":{"shape":[3],'
+            b'"data":[0.0,1.0,2.0]},"w":{"shape":[2,2],"data":[1.5,-2.0,1e-300,'
+            b'0.33333333333333331]}},'
+            b'"checksum":"243030f93c9952c0bd4de20e3d9cb49fd3c02248ef303b5c84bccda6dc139f9a"}\n'
+        )
+
+    @pytest.mark.parametrize("hashed, ok", [('{"a":{"shape":[2],"data":[1.0,2.0]}}', True),
+                                            ('{"a":{"shape":[2],"data":[1,2]}}', False)])
+    def test_checksum_covers_float_data(self, tmp_path, hashed, ok):
+        # a hand-written file may write 1 for 1.0: the checksum covers the
+        # canonical text of the data as float64
+        path = tmp_path / "hand.json"
+        path.write_text(json.dumps({
+            "schemaVersion": "1", "module": "tensors", "config": None,
+            "tensors": {"a": {"shape": [2], "data": [1, 2]}},
+            "checksum": hashlib.sha256(hashed.encode()).hexdigest()}))
+        if ok:
+            _, _, tensors = formats.load_tensor_file(path)
+            assert tensors["a"].dtype == np.float64 and tensors["a"].tolist() == [1.0, 2.0]
+        else:
+            with pytest.raises(ParseError, match="checksum"):
+                formats.load_tensor_file(path)
 
     def test_byte_identical_writes(self, tmp_path, rng):
         tensors = {"w": rng.normal(size=(2, 5))}

@@ -13,6 +13,7 @@ from textdetkit.geometry import (
     AxisBox,
     BitMask,
     Polygon,
+    crosses_at_touch,
     crosses_itself,
     intersection_area,
     iou_box,
@@ -86,9 +87,13 @@ def oracle_proper_crossing(vertices):
 
 class TestCrossesItself:
     def test_contours_never_cross(self, rng):
-        for _ in range(10):
-            for poly in mask_to_polygons(random_blob_mask(rng, 32, 32)):
+        masks = [random_blob_mask(rng, 32, 32) for _ in range(10)]
+        # noise, whose diagonal neighbours make many pinch points
+        masks += [BitMask.from_array(rng.random((12, 12)) < 0.5) for _ in range(40)]
+        for mask in masks:
+            for poly in mask_to_polygons(mask):
                 assert not crosses_itself(poly)
+                assert not crosses_at_touch(poly)
 
     def test_long_polygon_checked_in_blocks(self):
         t = np.linspace(0.0, 2.0 * np.pi, 3000, endpoint=False)
@@ -112,6 +117,81 @@ class TestCrossesItself:
             checked += 1
             crossing += want
         assert 50 < crossing < 350
+
+
+def winding_numbers(vertices, px, py):
+    """Winding number of the closed vertex list around each point."""
+    w = np.zeros(px.shape, int)
+    for (x0, y0), (x1, y1) in zip(vertices, vertices[1:] + vertices[:1]):
+        left = (x1 - x0) * (py - y0) - (y1 - y0) * (px - x0)
+        w += ((y0 <= py) & (py < y1) & (left > 0)).astype(int)
+        w -= ((y1 <= py) & (py < y0) & (left < 0)).astype(int)
+    return w
+
+
+def oracle_overlapping_edges(vertices):
+    """Whether two edges share a segment of positive length, exactly."""
+    n = len(vertices)
+
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    def along(a, b, c):
+        return (c[0] - a[0]) * (b[0] - a[0]) + (c[1] - a[1]) * (b[1] - a[1])
+
+    for i in range(n):
+        a, b = vertices[i], vertices[(i + 1) % n]
+        for j in range(i + 1, n):
+            c, d = vertices[j], vertices[(j + 1) % n]
+            if orient(a, b, c) == 0 and orient(a, b, d) == 0:
+                lo, hi = sorted((along(a, b, c), along(a, b, d)))
+                if min(hi, along(a, b, b)) > max(lo, 0):
+                    return True
+    return False
+
+
+class TestCrossesAtTouch:
+    def test_vertex_inside_an_edge(self):
+        # in from below the edge (0, 1)-(1, 1) at its point (0.5, 1), out above it
+        assert crosses_at_touch(Polygon(((0, 1), (1, 1), (1, 0), (0.5, 1), (1, 8))))
+        # in and out above it: a pinch
+        assert not crosses_at_touch(Polygon(((0, 0), (8, 0), (8, 8), (4, 0), (0, 8))))
+
+    def test_repeated_vertex(self):
+        # a figure eight through (2, 2) whose lobes wind opposite ways, with no
+        # proper crossing; then two triangles pinched at (2, 2)
+        eight = Polygon(((0, 0), (2, 2), (5, 5), (5, 0), (2, 2), (0, 4)))
+        assert crosses_at_touch(eight) and not crosses_itself(eight)
+        assert not crosses_at_touch(Polygon(((0, 0), (2, 2), (4, 0), (4, 4), (2, 2), (0, 4))))
+        # zero-width spikes to (4, 1) and (3, 0) make three passes through (4, 2)
+        # that share directions, which are not judged; the region winds once
+        spikes = Polygon(((0, 3), (3, 2), (4, 2), (4, 1), (4, 2), (3, 0), (4, 2)))
+        assert not crosses_at_touch(spikes)
+        # the contour of two diagonal pixels passes the shared corner twice
+        pinch = ((0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (1, 2), (1, 1), (0, 1))
+        assert not crosses_at_touch(Polygon(pinch))
+
+    def test_matches_winding_oracle(self, rng):
+        """Without proper crossings and overlapping edges, the boundary
+        crosses itself at a touch exactly when some region winds other than
+        0 or 1 times, sampled at 256x256 points off the grid lines."""
+        g = np.arange(0, 4, 1 / 64) + 0.5 / 64 + 0.00123
+        px, py = np.meshgrid(g, g + 0.00071)
+        checked = crossing = 0
+        while checked < 300:
+            pts = [tuple(map(int, p)) for p in rng.integers(0, 5, size=(rng.integers(3, 9), 2))]
+            try:
+                poly = Polygon(pts)
+            except GeometryError:
+                continue
+            if crosses_itself(poly) or oracle_overlapping_edges(poly.vertices):
+                continue
+            w = winding_numbers(list(poly.vertices), px, py)
+            want = bool(((w != 0) & (w != 1)).any())
+            assert crosses_at_touch(poly) == want, poly.vertices
+            checked += 1
+            crossing += want
+        assert crossing > 5
 
 
 class TestPolygonIntersection:
