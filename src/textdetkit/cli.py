@@ -16,6 +16,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from . import formats, instance_attention, multipath
 from .errors import (ConfigError, GeometryError, ImageIdMismatch, ParseError, ShapeError,
                      check_range)
@@ -189,6 +191,8 @@ def cmd_forward(args) -> int:
         raise ConfigError("weights file carries no config object")
     _, _, inputs = formats.load_tensor_file(args.input)
     out = runner(config, tensors, inputs)
+    if not np.isfinite(out).all():  # finite weights and inputs can still overflow
+        raise ConfigError(f"{args.module} module output overflows to a non-finite value")
     formats.save_tensor_file(args.out, {"output": out})
     print(f"output shape: {list(out.shape)}")
     return EXIT_OK

@@ -406,13 +406,28 @@ def load_ground_truth_file(path) -> GroundTruthSet:
 # named tensor files
 
 
+def _data_text(flat: np.ndarray) -> str:
+    """``dumps_canonical(flat.tolist())`` without its brackets, in one ``%``
+    formatting call. ``%.17g`` writes neither a ``.`` nor an ``e`` only for
+    integral values below 1e17 in magnitude (-0.0 among them), so exactly
+    those get ``.0`` appended; non-finite values raise ValueError."""
+    finite = np.isfinite(flat)
+    if not finite.all():
+        raise ValueError(f"cannot serialize non-finite number {float(flat[~finite][0])}")
+    fmt = ["%.17g"] * flat.size
+    for i in np.flatnonzero((flat == np.floor(flat)) & (np.abs(flat) < 1e17)).tolist():
+        fmt[i] = "%.17g.0"
+    return ",".join(fmt) % tuple(flat.tolist())
+
+
 def _payload(arrays: dict) -> tuple[str, str]:
     """The canonical text of a tensor payload and its sha256: the payload is
     {name: {"shape", "data"}} in name order, with data as float64 values in
-    row-major order."""
-    text = dumps_canonical({name: {"shape": list(arrays[name].shape),
-                                   "data": arrays[name].ravel().tolist()}
-                            for name in sorted(arrays)})
+    row-major order, the same text ``dumps_canonical`` gives that dict."""
+    text = "{" + ",".join([
+        _encode_str(str(name)) + ':{"shape":' + dumps_canonical(arrays[name].shape)
+        + ',"data":[' + _data_text(arrays[name].ravel()) + "]}"
+        for name in sorted(arrays)]) + "}"
     return text, hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

@@ -3,10 +3,12 @@
 The oracles here deliberately avoid the library code paths they check:
 convolution is a plain quadruple loop, pooling enumerates bin membership per
 pixel, point-in-polygon is a local crossing-number routine, polygon
-intersection clips convex trapezoid pieces pairwise (Sutherland-Hodgman), and
-blobs are built by stamping shapes, with holes filled by scipy.
+intersection clips convex trapezoid pieces pairwise (Sutherland-Hodgman), a
+tensor payload is written value by value through the generic canonical JSON
+emitter, and blobs are built by stamping shapes, with holes filled by scipy.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 from types import SimpleNamespace
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from textdetkit.formats import dumps_canonical
 from textdetkit.geometry import BitMask, Polygon
 from textdetkit.pseudolabel import ScoredDetection
 
@@ -239,6 +242,19 @@ def oracle_intersection_area(a, b, exact=False):
         a, b = (SimpleNamespace(vertices=tuple((Fraction(x), Fraction(y)) for x, y in p.vertices))
                 for p in (a, b))
     return sum(shoelace(p.vertices) for p in polygon_intersection(a, b))
+
+
+# ---------------------------------------------------------------------------
+# tensor payload text, one value at a time
+
+
+def tensor_payload(arrays: dict) -> tuple[str, str]:
+    """The canonical text of a tensor payload built as a generic document,
+    each float written by ``format_float``, and its sha256."""
+    text = dumps_canonical({name: {"shape": list(arrays[name].shape),
+                                   "data": arrays[name].ravel().tolist()}
+                            for name in sorted(arrays)})
+    return text, hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------

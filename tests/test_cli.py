@@ -560,6 +560,25 @@ class TestForward:
                      "--input", str(inputs), "--out", str(tmp_path / "o.json")]) == 5
         assert capsys.readouterr().err.startswith("error: at most 64 encoder layers")
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_output_exit_5(self, tmp_path, capsys):
+        # every value is finite, so both files load, but the cascade's output
+        # overflows to inf
+        config, tensors = multipath.to_named_tensors(
+            multipath.CascadeConfig.zeros(2, kernel_sizes=(3, 3, 3)))
+        weights = tmp_path / "weights.json"
+        formats.save_tensor_file(weights, {name: np.full_like(t, 1e200)
+                                           for name, t in tensors.items()},
+                                 module="intra", config=config)
+        inputs = tmp_path / "input.json"
+        formats.save_tensor_file(inputs, {"input": np.full((2, 5, 5), 1e200)})
+        out = tmp_path / "o.json"
+        assert main(["forward", "--module", "intra", "--weights", str(weights),
+                     "--input", str(inputs), "--out", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "non-finite" in err
+        assert not out.exists()
+
 
 TENSOR_FILE_MUTATIONS = ("drop-doc-key", "drop-entry-key", "shape-entry", "truncate-data",
                          "nest-data", "non-dict-entry", "checksum")

@@ -3,6 +3,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from textdetkit import formats
 from textdetkit.errors import ParseError
@@ -11,7 +14,7 @@ from textdetkit.geometry import AxisBox, BitMask, Polygon, polygon_to_mask
 from textdetkit.pseudolabel import PseudoLabel, ScoredDetection
 from textdetkit.suppress import DetectionSet
 
-from conftest import random_blob_mask, random_detections
+from conftest import random_blob_mask, random_detections, tensor_payload
 
 
 _SQUARE = [[0, 0], [4, 0], [4, 4], [0, 4]]
@@ -441,6 +444,20 @@ class TestWriterGoldenBytes:
         )
 
 
+_BIG = [1e17, np.nextafter(1e17, 0), np.nextafter(1e17, np.inf), 2.0**53, 2.0**53 + 2,
+        np.finfo(np.float64).max, np.finfo(np.float64).tiny, 5e-324, 1e-5, 0.5]
+# the edge cases of the ".0" rule, integral values and arbitrary finite doubles
+# (subnormals among them), each sign
+_PAYLOAD_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0] + _BIG + [-x for x in _BIG]),
+    st.integers(-2**62, 2**62).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-10, 10))
+# quotes, backslashes and control characters, which JSON escapes, a few it
+# may write either way, and any others
+_NAME_CHARS = st.one_of(st.sampled_from('"\\/\n\t\x00\x7f\u2028\u00e9'), st.characters())
+
+
 class TestTensorFiles:
     def test_round_trip(self, tmp_path, rng):
         tensors = {
@@ -512,3 +529,20 @@ class TestTensorFiles:
         formats.save_tensor_file(p1, tensors)
         formats.save_tensor_file(p2, {k: v.copy() for k, v in tensors.items()})
         assert p1.read_bytes() == p2.read_bytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.text(_NAME_CHARS, max_size=4), hnp.arrays(
+        np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5),
+        elements=_PAYLOAD_VALUES), max_size=4))
+    def test_payload_matches_value_by_value_text(self, arrays):
+        assert formats._payload(arrays) == tensor_payload(arrays)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["a", "b"])
+    def test_non_finite_save_writes_nothing(self, tmp_path, rng, bad, name):
+        tensors = {"a": rng.normal(size=3), "b": rng.normal(size=(2, 2))}
+        tensors[name].flat[-1] = bad
+        path = tmp_path / "t.json"
+        with pytest.raises(ValueError, match="non-finite"):
+            formats.save_tensor_file(path, tensors)
+        assert not path.exists()
