@@ -190,7 +190,8 @@ def cmd_forward(args) -> int:
     if not isinstance(config, dict):
         raise ConfigError("weights file carries no config object")
     _, _, inputs = formats.load_tensor_file(args.input)
-    out = runner(config, tensors, inputs)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+        out = runner(config, tensors, inputs)
     if not np.isfinite(out).all():  # finite weights and inputs can still overflow
         raise ConfigError(f"{args.module} module output overflows to a non-finite value")
     formats.save_tensor_file(args.out, {"output": out})

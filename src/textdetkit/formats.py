@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import ParseError, _json_int
 from .evaluate import GroundTruthSet
-from .geometry import (OVERHANG_TOL, AxisBox, BitMask, Polygon, crosses_at_touch,
-                       crosses_itself, mask_to_polygons, polygon_to_mask)
+from .geometry import (OVERHANG_TOL, AxisBox, BitMask, Polygon, mask_to_polygons,
+                       polygon_to_mask, winds_once)
 from .pseudolabel import PseudoLabel, ScoredDetection
 from .suppress import DetectionSet
 
@@ -269,8 +269,8 @@ def _mask_from_record(record, width, height, path) -> BitMask:
     polys = record.get("polygons")
     if polys is None and "polygon" in record:
         polys = [record["polygon"]]
-    if not polys:
-        raise ParseError(f"{path}: record carries neither a mask nor polygons")
+    if not polys or not isinstance(polys, list):
+        raise ParseError(f"{path}: record carries neither a mask nor a list of polygons")
     masks = [polygon_to_mask(_polygon_from_json(raw, width, height, path), width, height)
              for raw in polys]
     pieces = [m for m in masks if not m.is_empty()] or masks[:1]
@@ -389,9 +389,9 @@ def load_ground_truth_file(path) -> GroundTruthSet:
     instances, flags = [], []
     for k, record in enumerate(records):
         poly = _polygon_from_json(record.get("polygon"), width, height, path)
-        # a crossing polygon's shoelace area disagrees with the region it
-        # rasterizes to, so its IoU would be silently wrong
-        if crosses_itself(poly) or crosses_at_touch(poly):
+        # where the boundary winds twice or clockwise, the shoelace area
+        # disagrees with the region it rasterizes to, so IoU would be wrong
+        if not winds_once(poly):
             raise ParseError(f"{path}: instance {k}: polygon boundary crosses itself")
         instances.append(poly)
         ignore = record.get("ignore", False)

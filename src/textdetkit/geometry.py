@@ -156,97 +156,92 @@ def _edge_pairs(a, b):
                _cross(rs, qe - qs), _cross(qe - qs, e - qs))
 
 
-def crosses_itself(p: Polygon) -> bool:
-    """True when two edges properly cross: each edge's endpoints lie strictly
-    on opposite sides of the other's line. Shared vertices, a vertex on
-    another edge and collinear overlaps do not count, so weakly simple
-    polygons (pinch points) pass. O(n^2) time; ``Polygon`` does not check."""
-    v = np.asarray(p.vertices).T
-    return any(((np.sign(side_s) * np.sign(side_e) < 0) & (np.sign(at_s) * np.sign(at_e) < 0)).any()
-               for *_, side_s, side_e, at_s, at_e in _edge_pairs(v, v))
-
-
-def crosses_at_touch(p: Polygon) -> bool:
-    """True when the boundary crosses over itself at a point where it touches
-    itself, a repeated vertex or a vertex inside another edge, so the polygon
-    is not weakly simple although :func:`crosses_itself` finds no proper
-    crossing: two passes through the point, each leaving along two
-    directions, interleave around it. Mask-contour pinch points do not
-    interleave. Two passes that leave along a shared direction (collinear
-    overlaps, as in zero-width spikes) are not judged. O(n^2) time."""
-    verts, n = p.vertices, len(p.vertices)
-    v = np.asarray(verts).T
-
-    def arms(i, j, k):  # directions from vertex j towards vertices i and k
-        (x, y), (xi, yi), (xk, yk) = verts[j], verts[i], verts[k % n]
-        return math.atan2(yi - y, xi - x), math.atan2(yk - y, xk - x)
-
-    passes: dict = {}  # point -> (i, j, k) of each pass i -> j -> k through it
-    for j, point in enumerate(verts):
-        passes.setdefault(point, []).append((j - 1, j, j + 1))
-    first = 0  # the block's first edge
-    for s, d, rs, _, side_s, *_ in _edge_pairs(v, v):
-        along = rs[0] * d[0] + rs[1] * d[1]
-        inside = (side_s == 0) & (0 < along) & (along < d[0] * d[0] + d[1] * d[1])
-        for i, j in zip(*np.nonzero(inside)):  # vertex j inside edge first + i
-            passes[verts[j]].append((first + i, j, first + i + 1))
-        first += s.shape[1]
-    for through in passes.values():
-        if len(through) < 2:
-            continue
-        through = [arms(*ijk) for ijk in through]
-        if len({a for pair in through for a in pair}) < 2 * len(through):
-            continue  # two arms share a direction
-        for k, (a1, a2) in enumerate(through):
-            lo, hi = min(a1, a2), max(a1, a2)
-            if any((lo < b1 < hi) != (lo < b2 < hi) for b1, b2 in through[k + 1:]):
-                return True
-    return False
-
-
-def _boundary_integral(a, b, origin) -> float:
-    """Sum of x*dy - y*dx about ``origin`` over the pieces of a's boundary
-    that have b just beside them on their -x side (above, if horizontal).
-
-    Each edge of a is cut wherever an edge of b crosses or touches it, which
-    includes the ends of collinear overlaps. Collinearity is decided exactly
-    on the input vertices: the ray from beside a piece crosses each b edge
-    that the piece lies on unless it is horizontal, whatever the midpoint's
-    rounding.
-    """
+def _pieces(a, b):
+    """The pieces of a's boundary between the points where b's boundary
+    crosses or touches it, both ends of every collinear overlap included,
+    for two (2, n) vertex arrays. Yields blocks of pieces: each one's edge
+    of a, its span t0 < t1 in the edge's parameter, and two bool arrays
+    indexed [piece, edge of b], the b edges the piece lies on and those
+    that a ray towards +x crosses from just beside the piece, on its -x side
+    (above it, if horizontal). Collinearity is decided exactly on the input
+    vertices: that ray crosses each b edge the piece lies on unless it is
+    horizontal, whatever the midpoint's rounding."""
     qs, qe = b[:, None], np.roll(b, -1, axis=1)[:, None]
     up = qe[1] > qs[1]
     rows = max(1, _BLOCK // b.shape[1])
-    total = 0.0
+    first = 0  # the block's first edge
     for s, d, rs, re, side_s, side_e, at_s, at_e in _edge_pairs(a, b):
         collinear = (side_s == 0) & (side_e == 0)
         # an underflowing product reads as touching, which only adds a harmless cut
         ci, cj = np.nonzero(~collinear & (at_s != at_e)
                             & (side_s * side_e <= 0) & (at_s * at_e <= 0))
-        cut = np.clip(at_s[ci, cj] / (at_s[ci, cj] - at_e[ci, cj]), 0.0, 1.0)
+        cut = at_s[ci, cj] / (at_s[ci, cj] - at_e[ci, cj])
         # the span of a's edge (in its parameter) that a collinear edge of b covers
         dd = d[0] * d[0] + d[1] * d[1]
         ts, te = (rs[0] * d[0] + rs[1] * d[1]) / dd, (re[0] * d[0] + re[1] * d[1]) / dd
         lo = np.where(collinear, np.minimum(ts, te), np.inf)
         hi = np.where(collinear, np.maximum(ts, te), -np.inf)
-        edge = np.concatenate([np.arange(s.shape[1])] * 2 + [ci])
-        t = np.concatenate([np.zeros(s.shape[1]), np.ones(s.shape[1]), cut])
+        k, oi = s.shape[1], np.nonzero(collinear)[0]
+        edge = np.concatenate([np.arange(k)] * 2 + [ci, oi, oi])
+        t = np.clip(np.concatenate([np.zeros(k), np.ones(k), cut, lo[collinear], hi[collinear]]),
+                    0.0, 1.0)
         order = np.lexsort((t, edge))
         edge, t = edge[order], t[order]
         piece = np.flatnonzero((edge[:-1] == edge[1:]) & (t[:-1] < t[1:]))
         t0, t1, edge = t[piece], t[piece + 1], edge[piece]
         mid = (t0 + t1) / 2
-        keep = np.empty(len(mid), bool)
-        for i in range(0, len(mid), rows):  # even-odd test of b beside each midpoint
-            k, m = edge[i:i + rows], mid[i:i + rows, None]
-            p = s[:, k] + m * d[:, k]  # (2, k, 1); an axis-parallel piece's midpoint stays on it
-            on = (lo[k] < m) & (m < hi[k])  # the b edges this piece lies on
+        for i in range(0, len(mid), rows):
+            j, m = edge[i:i + rows], mid[i:i + rows, None]
+            p = s[:, j] + m * d[:, j]  # (2, k, 1); an axis-parallel piece's midpoint stays on it
+            on = (lo[j] < m) & (m < hi[j])
             right = ((_cross(qe - qs, p - qs) > 0) == up) | on  # b's edge passes right of p
             hits = ((qs[1] > p[1]) != (qe[1] > p[1])) & right
-            keep[i:i + rows] = np.count_nonzero(hits, axis=1) % 2
-        # on the line s + t * d, x*dy - y*dx integrates to (t1 - t0) * cross(s, d)
-        k = edge[keep]
-        total += float(np.sum((t1 - t0)[keep] * _cross(s[:, k, 0] - origin, d[:, k, 0])))
+            yield first + j, t0[i:i + rows], t1[i:i + rows], on, hits
+        first += k
+
+
+def winds_once(p: Polygon) -> bool:
+    """True when every point of the plane has winding number 0 or 1 around
+    p's boundary: p wraps no point twice and none clockwise. Exactly then
+    does the even-odd region, which :func:`polygon_to_mask` fills and
+    :func:`intersection_area` measures, have p's shoelace area. Pinch points
+    and zero-width spikes pass, also where a spike crosses an edge.
+
+    The boundary is cut against itself. Beside a piece, on its -x side
+    (above it, if horizontal), the winding number is the signed count of
+    the edges a ray towards +x crosses, +1 upward and -1 downward; on the
+    other side it is less by the signed passes along the piece. Every face
+    of the boundary's arrangement borders a piece, so the test is exact.
+    O(n^2) time; ``Polygon`` does not check."""
+    v = np.asarray(p.vertices).T
+    d = np.roll(v, -1, axis=1) - v
+    nxt = np.roll(d, -1, axis=1)
+    # every edge meets itself and its two neighbours; a boundary that touches
+    # itself nowhere else, and never turns back along itself, is simple and,
+    # stored counter-clockwise, winds once
+    meets = sum(np.count_nonzero((side_s * side_e <= 0) & (at_s * at_e <= 0))
+                for *_, side_s, side_e, at_s, at_e in _edge_pairs(v, v))
+    turns_back = (_cross(d, nxt) == 0) & (np.sum(d * nxt, axis=0) < 0)
+    if meets == 3 * v.shape[1] and not turns_back.any():
+        return True
+    sign = np.sign(np.where(d[1] != 0, d[1], d[0]))  # upward, or rightward if horizontal
+    for *_, on, hits in _pieces(v, v):
+        beside = hits @ sign
+        if not (np.isin(beside, (0, 1)).all() and np.isin(beside - on @ sign, (0, 1)).all()):
+            return False
+    return True
+
+
+def _boundary_integral(a, b, origin) -> float:
+    """Sum of x*dy - y*dx about ``origin`` over the pieces of a's boundary
+    that have b just beside them on their -x side (above, if horizontal),
+    by the even-odd rule."""
+    # on the line s + t * d, x*dy - y*dx integrates to (t1 - t0) * cross(s, d)
+    moment = _cross(a - origin, np.roll(a, -1, axis=1) - a)
+    total = 0.0
+    for edge, t0, t1, _, hits in _pieces(a, b):
+        keep = np.count_nonzero(hits, axis=1) % 2 == 1
+        total += float(np.sum((t1 - t0)[keep] * moment[edge[keep]]))
     return total
 
 

@@ -80,7 +80,7 @@ class ConvBlock:
 
 @dataclass
 class CascadeConfig:
-    """Three blocks plus the residual switch; one shared channel width."""
+    """Three blocks plus the residual switch; one channel width and activation."""
 
     blocks: list = field(default_factory=list)
     residual: bool = True
@@ -88,9 +88,10 @@ class CascadeConfig:
     def __post_init__(self):
         if len(self.blocks) != 3:
             raise ConfigError(f"cascade needs exactly 3 blocks, got {len(self.blocks)}")
-        widths = {b.channels for b in self.blocks}
-        if len(widths) != 1:
-            raise ConfigError(f"all blocks must share one channel width, got {sorted(widths)}")
+        for what, attr in (("channel width", "channels"), ("activation", "activation")):
+            values = {getattr(b, attr) for b in self.blocks}
+            if len(values) != 1:
+                raise ConfigError(f"all blocks must share one {what}, got {sorted(values)}")
 
     @property
     def channels(self) -> int:

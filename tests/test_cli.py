@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import tracemalloc
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from textdetkit import formats, instance_attention, multipath
+from textdetkit import cli, formats, instance_attention, multipath
 from textdetkit.cli import main
 from textdetkit.evaluate import GroundTruthSet, compute_metrics, match_detections
 from textdetkit.geometry import BitMask, mask_to_polygons
@@ -282,6 +283,19 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "cross" in err
 
+    def test_crossing_hidden_in_an_overlap_eval_exit_2(self, tmp_path, capsys):
+        # no edge properly crosses another, but the edges (2, 0)-(0, 0) and
+        # (1, 0)-(4, 0) overlap and the loop through (2, 1) winds twice
+        gt = tmp_path / "gt.json"
+        gt.write_text(json.dumps({
+            "schemaVersion": "1", "imageId": "img", "imageWidth": CANVAS, "imageHeight": CANVAS,
+            "instances": [{"polygon": [[2, 0], [0, 0], [2, 1], [1, 0], [4, 0], [2, 4]]}]}))
+        det = tmp_path / "det.json"
+        write_detection_file(det, [square_detection(0, 0, 4, 0.9)])
+        assert main(["eval", "--gt", str(gt), "--det", str(det)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "crosses itself" in err
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("which", ["weights", "input"])
     def test_non_finite_tensor_exit_2(self, tmp_path, capsys, rng, bad, which):
@@ -433,6 +447,20 @@ class TestEval:
         write_detection_file(det_path, [d1])
         assert main(["eval", "--gt", str(gt_path), "--det", str(det_path)]) == 3
 
+    def test_spike_along_a_detection_edge(self, tmp_path):
+        # the GT's spike runs up the detection's edge x = 4 to (4, 3): the
+        # 2 x 1 GT box lies inside the 4 x 4 detection, IoU 2 / 16 = 0.125
+        gt_path, det_path = tmp_path / "gt.json", tmp_path / "det.json"
+        gt_path.write_text(json.dumps({
+            "schemaVersion": "1", "imageId": "img", "imageWidth": CANVAS, "imageHeight": CANVAS,
+            "instances": [{"polygon": [[2, 1], [4, 1], [4, 3], [4, 2], [2, 2]]}]}))
+        write_detection_file(det_path, [square_detection(0, 0, 4, 0.9)])
+        report_path = tmp_path / "report.json"
+        assert main(["eval", "--gt", str(gt_path), "--det", str(det_path), "--iou", "0.2",
+                     "--report", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        assert report["truePositives"] == 0 and report["matchedPairs"] == []
+
     def test_empty_detections_flagged(self, tmp_path):
         d1 = square_detection(4, 4, 10, 0.9)
         gt_path, det_path = tmp_path / "gt.json", tmp_path / "det.json"
@@ -560,7 +588,7 @@ class TestForward:
                      "--input", str(inputs), "--out", str(tmp_path / "o.json")]) == 5
         assert capsys.readouterr().err.startswith("error: at most 64 encoder layers")
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_output_exit_5(self, tmp_path, capsys):
         # every value is finite, so both files load, but the cascade's output
         # overflows to inf
@@ -639,6 +667,74 @@ class TestMutatedTensorFiles:
             code = main(["forward", "--module", "intra", "--weights", str(paths["weights"]),
                          "--input", str(paths["input"]), "--out", str(work / "o.json")])
         assert code in (2, 5) and err.getvalue().startswith("error:")
+
+
+# each field of an image file is set to one of these, or deleted
+FIELD_MUTATIONS = (None, True, 0, -1, 2**70, 1e308, 0.5, "x", [], {}, [[[1]]], "delete")
+
+
+def _field_paths(node, path=()):
+    """The path (dict keys and list indices) of every field of a JSON document."""
+    items = (node.items() if isinstance(node, dict) else
+             enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _field_paths(child, path + (key,))
+
+
+class TestMutatedImageFiles:
+    """Valid detection and GT files with one field set to a wrong value or
+    deleted: every command that reads the file exits 0, 2, 3, 4 or 5, prints
+    an error line when it fails, and never raises. The commands share one
+    reader per file kind, so a file the first command refuses to parse
+    (exit 2) is not run through the others."""
+
+    HEADER = {"schemaVersion": "1", "imageId": "img", "imageWidth": 8, "imageHeight": 8}
+    DETECTIONS = {**HEADER, "sourceTag": "m", "scaleFactor": 1.0, "detections": [
+        {"box": [0, 0, 1, 1], "score": 0.5,
+         "mask": {"width": 8, "height": 8, "counts": [0, 1, 63]}},
+        {"box": [1, 1, 5, 4], "score": 0.4, "polygons": [[[1, 1], [5, 1], [5, 4]]]}]}
+    GT = {**HEADER, "instances": [{"polygon": [[0, 0], [4, 0], [4, 4]], "ignore": False}]}
+
+    @staticmethod
+    def _mutants(doc):
+        for path in _field_paths(doc):
+            for value in FIELD_MUTATIONS:
+                mutant = json.loads(json.dumps(doc))
+                *parents, last = path
+                node = mutant
+                for key in parents:
+                    node = node[key]
+                if value == "delete":
+                    del node[last]
+                else:
+                    node[last] = value
+                yield path, value, mutant
+
+    @pytest.mark.parametrize("which", ["detections", "gt"])
+    def test_commands_fail_cleanly(self, tmp_path, monkeypatch, which):
+        # building the argument parser is most of a run on files this small
+        monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
+        det, gt, out = tmp_path / "det.json", tmp_path / "gt.json", tmp_path / "o.json"
+        det.write_text(json.dumps(self.DETECTIONS))
+        gt.write_text(json.dumps(self.GT))
+        argvs = [["eval", "--gt", str(gt), "--det", str(det)]]
+        if which == "detections":
+            argvs = [["nms", "--in", str(det), "--out", str(out)], *argvs,
+                     ["fuse", "--det-a", str(det), "--det-b", str(det), "--det-c", str(det),
+                      "--out", str(out)]]
+        target = det if which == "detections" else gt
+        for path, value, mutant in self._mutants(self.DETECTIONS if which == "detections"
+                                                 else self.GT):
+            target.write_text(json.dumps(mutant))
+            for argv in argvs:
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    code = main(argv)
+                assert code in (0, 2, 3, 4, 5), (argv[0], path, value)
+                assert code == 0 or err.getvalue().startswith("error:"), (argv[0], path, value)
+                if code == 2:
+                    break
 
 
 class TestParams:

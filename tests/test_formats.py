@@ -280,6 +280,10 @@ class TestGroundTruthFiles:
         # through (0.5, 1), a vertex inside the edge (0, 1)-(1, 1), from below to
         # above: shoelace area 1.5, even-odd area 2.0
         ([[0, 1], [1, 1], [1, 0], [0.5, 1], [1, 8]], "cross"),
+        # (2, 0)-(0, 0) and (1, 0)-(4, 0) overlap on [1, 2], and nothing properly
+        # crosses, but the loop through (2, 1) winds twice: shoelace area 3.5,
+        # even-odd area 4.5
+        ([[2, 0], [0, 0], [2, 1], [1, 0], [4, 0], [2, 4]], "cross"),
     ])
     def test_polygon_points(self, tmp_path, polygon, error):
         path = tmp_path / "gt.json"
@@ -296,6 +300,8 @@ class TestGroundTruthFiles:
         [[0, 0], [1, 0], [1, 1], [2, 1], [2, 2], [1, 2], [1, 1], [0, 1]],
         # two triangles pinched at (4, 0), which lies inside the edge (0, 0)-(8, 0)
         [[0, 0], [8, 0], [8, 8], [4, 0], [0, 8]],
+        # a zero-width spike from (3, 6) down through the edge y = 2 to (3, 1)
+        [[1, 2], [5, 2], [5, 6], [3, 6], [3, 1], [3, 6], [1, 6]],
     ])
     def test_weakly_simple_polygon_loads(self, tmp_path, polygon):
         path = tmp_path / "gt.json"

@@ -13,8 +13,6 @@ from textdetkit.geometry import (
     AxisBox,
     BitMask,
     Polygon,
-    crosses_at_touch,
-    crosses_itself,
     intersection_area,
     iou_box,
     iou_mask,
@@ -22,6 +20,7 @@ from textdetkit.geometry import (
     mask_to_polygons,
     polygon_area,
     polygon_to_mask,
+    winds_once,
 )
 
 from conftest import is_convex, oracle_intersection_area, points_in_polygon, random_blob_mask
@@ -69,56 +68,6 @@ class TestPolygonBasics:
             assert abs(estimate - polygon_area(poly)) <= 0.01 * polygon_area(poly)
 
 
-def oracle_proper_crossing(vertices):
-    """Pairwise segment test with exact integer orientations."""
-    n = len(vertices)
-
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    for i in range(n):
-        a, b = vertices[i], vertices[(i + 1) % n]
-        for j in range(i + 2, n):
-            c, d = vertices[j], vertices[(j + 1) % n]
-            if orient(a, b, c) * orient(a, b, d) < 0 and orient(c, d, a) * orient(c, d, b) < 0:
-                return True
-    return False
-
-
-class TestCrossesItself:
-    def test_contours_never_cross(self, rng):
-        masks = [random_blob_mask(rng, 32, 32) for _ in range(10)]
-        # noise, whose diagonal neighbours make many pinch points
-        masks += [BitMask.from_array(rng.random((12, 12)) < 0.5) for _ in range(40)]
-        for mask in masks:
-            for poly in mask_to_polygons(mask):
-                assert not crosses_itself(poly)
-                assert not crosses_at_touch(poly)
-
-    def test_long_polygon_checked_in_blocks(self):
-        t = np.linspace(0.0, 2.0 * np.pi, 3000, endpoint=False)
-        ring = np.stack([100 + 50 * np.cos(t), 100 + 50 * np.sin(t)], axis=1)
-        assert not crosses_itself(Polygon(tuple(map(tuple, ring))))
-        ring[[10, 2900]] = ring[[2900, 10]]  # two edges far apart in vertex order cross
-        assert crosses_itself(Polygon(tuple(map(tuple, ring))))
-
-    def test_matches_pairwise_oracle(self, rng):
-        # small integer grids make shared vertices, touching and collinear edges common
-        checked = crossing = 0
-        while checked < 400:
-            pts = [tuple(map(int, p)) for p in rng.integers(0, 5, size=(rng.integers(3, 9), 2))]
-            try:
-                poly = Polygon(pts)
-            except GeometryError:
-                continue
-            verts = [(int(x), int(y)) for x, y in poly.vertices]
-            want = oracle_proper_crossing(verts)
-            assert crosses_itself(poly) == want, verts
-            checked += 1
-            crossing += want
-        assert 50 < crossing < 350
-
-
 def winding_numbers(vertices, px, py):
     """Winding number of the closed vertex list around each point."""
     w = np.zeros(px.shape, int)
@@ -129,69 +78,70 @@ def winding_numbers(vertices, px, py):
     return w
 
 
-def oracle_overlapping_edges(vertices):
-    """Whether two edges share a segment of positive length, exactly."""
-    n = len(vertices)
+class TestWindsOnce:
+    def test_contours_wind_once(self, rng):
+        masks = [random_blob_mask(rng, 32, 32) for _ in range(10)]
+        # noise, whose diagonal neighbours make many pinch points
+        masks += [BitMask.from_array(rng.random((12, 12)) < 0.5) for _ in range(40)]
+        for mask in masks:
+            for poly in mask_to_polygons(mask):
+                assert winds_once(poly)
 
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    def test_long_polygon_checked_in_blocks(self):
+        t = np.linspace(0.0, 2.0 * np.pi, 3000, endpoint=False)
+        ring = np.stack([100 + 50 * np.cos(t), 100 + 50 * np.sin(t)], axis=1)
+        assert winds_once(Polygon(tuple(map(tuple, ring))))
+        ring[[10, 2900]] = ring[[2900, 10]]  # two edges far apart in vertex order cross
+        assert not winds_once(Polygon(tuple(map(tuple, ring))))
 
-    def along(a, b, c):
-        return (c[0] - a[0]) * (b[0] - a[0]) + (c[1] - a[1]) * (b[1] - a[1])
-
-    for i in range(n):
-        a, b = vertices[i], vertices[(i + 1) % n]
-        for j in range(i + 1, n):
-            c, d = vertices[j], vertices[(j + 1) % n]
-            if orient(a, b, c) == 0 and orient(a, b, d) == 0:
-                lo, hi = sorted((along(a, b, c), along(a, b, d)))
-                if min(hi, along(a, b, b)) > max(lo, 0):
-                    return True
-    return False
-
-
-class TestCrossesAtTouch:
     def test_vertex_inside_an_edge(self):
         # in from below the edge (0, 1)-(1, 1) at its point (0.5, 1), out above it
-        assert crosses_at_touch(Polygon(((0, 1), (1, 1), (1, 0), (0.5, 1), (1, 8))))
+        assert not winds_once(Polygon(((0, 1), (1, 1), (1, 0), (0.5, 1), (1, 8))))
         # in and out above it: a pinch
-        assert not crosses_at_touch(Polygon(((0, 0), (8, 0), (8, 8), (4, 0), (0, 8))))
+        assert winds_once(Polygon(((0, 0), (8, 0), (8, 8), (4, 0), (0, 8))))
 
     def test_repeated_vertex(self):
         # a figure eight through (2, 2) whose lobes wind opposite ways, with no
         # proper crossing; then two triangles pinched at (2, 2)
-        eight = Polygon(((0, 0), (2, 2), (5, 5), (5, 0), (2, 2), (0, 4)))
-        assert crosses_at_touch(eight) and not crosses_itself(eight)
-        assert not crosses_at_touch(Polygon(((0, 0), (2, 2), (4, 0), (4, 4), (2, 2), (0, 4))))
-        # zero-width spikes to (4, 1) and (3, 0) make three passes through (4, 2)
-        # that share directions, which are not judged; the region winds once
-        spikes = Polygon(((0, 3), (3, 2), (4, 2), (4, 1), (4, 2), (3, 0), (4, 2)))
-        assert not crosses_at_touch(spikes)
+        assert not winds_once(Polygon(((0, 0), (2, 2), (5, 5), (5, 0), (2, 2), (0, 4))))
+        assert winds_once(Polygon(((0, 0), (2, 2), (4, 0), (4, 4), (2, 2), (0, 4))))
         # the contour of two diagonal pixels passes the shared corner twice
         pinch = ((0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (1, 2), (1, 1), (0, 1))
-        assert not crosses_at_touch(Polygon(pinch))
+        assert winds_once(Polygon(pinch))
+
+    def test_spikes(self):
+        # zero-width spikes to (4, 1) and (3, 0) make three passes through (4, 2)
+        assert winds_once(Polygon(((0, 3), (3, 2), (4, 2), (4, 1), (4, 2), (3, 0), (4, 2))))
+        # a spike from (2, 4) down through the bottom edge to (2, -1) adds no area
+        assert winds_once(Polygon(((0, 0), (4, 0), (4, 4), (2, 4), (2, -1), (2, 4), (0, 4))))
+
+    def test_crossing_hidden_in_a_collinear_overlap(self):
+        # (2, 0)-(0, 0) and (1, 0)-(4, 0) overlap on [1, 2]: the loop through
+        # (2, 1) winds twice, so the shoelace area is 3.5 and the even-odd one 4.5
+        poly = Polygon(((2, 0), (0, 0), (2, 1), (1, 0), (4, 0), (2, 4)))
+        assert polygon_area(poly) == 3.5
+        assert not winds_once(poly)
 
     def test_matches_winding_oracle(self, rng):
-        """Without proper crossings and overlapping edges, the boundary
-        crosses itself at a touch exactly when some region winds other than
-        0 or 1 times, sampled at 256x256 points off the grid lines."""
+        """Random polygons on a 5 x 5 integer grid, so that proper crossings,
+        touches, pinches and overlapping edges are all common: the boundary
+        winds once exactly when no point sampled at 256 x 256 places off the
+        grid lines has a winding number other than 0 or 1."""
         g = np.arange(0, 4, 1 / 64) + 0.5 / 64 + 0.00123
         px, py = np.meshgrid(g, g + 0.00071)
-        checked = crossing = 0
-        while checked < 300:
+        checked = once = 0
+        while checked < 400:
             pts = [tuple(map(int, p)) for p in rng.integers(0, 5, size=(rng.integers(3, 9), 2))]
             try:
                 poly = Polygon(pts)
             except GeometryError:
                 continue
-            if crosses_itself(poly) or oracle_overlapping_edges(poly.vertices):
-                continue
             w = winding_numbers(list(poly.vertices), px, py)
-            want = bool(((w != 0) & (w != 1)).any())
-            assert crosses_at_touch(poly) == want, poly.vertices
+            want = not ((w != 0) & (w != 1)).any()
+            assert winds_once(poly) == want, poly.vertices
             checked += 1
-            crossing += want
-        assert crossing > 5
+            once += want
+        assert 100 < once < 300
 
 
 class TestPolygonIntersection:
@@ -274,7 +224,7 @@ def simple_polygons(draw):
         poly = Polygon(pts)
     except GeometryError:
         return draw(contours())
-    if polygon_area(poly) < 0.01 or crosses_itself(poly) or not is_simple(poly):
+    if polygon_area(poly) < 0.01 or not winds_once(poly) or not is_simple(poly):
         return draw(contours())
     return poly
 
@@ -337,6 +287,19 @@ class TestIntersectionArea:
         beside = Polygon(((2, 0), (3, 0), (3, 1), (2, 1)))
         assert intersection_area(ear, beside) == 0.0
         assert intersection_area(beside, ear) == 0.0
+        # a spike through the bottom edge, against a covering box and a half
+        through = Polygon(((0, 0), (4, 0), (4, 4), (2, 4), (2, -1), (2, 4), (0, 4)))
+        for box, want in (((-1, -2, 5, 5), 16.0), ((0, 0, 2, 4), 8.0)):
+            x0, y0, x1, y1 = box
+            other = Polygon(((x0, y0), (x1, y0), (x1, y1), (x0, y1)))
+            assert intersection_area(through, other) == want == intersection_area(other, through)
+
+    def test_spike_tip_on_a_piece_midpoint(self):
+        # b's spike runs up a's edge x = 4 to (4, 3), the midpoint of the
+        # piece from (4, 2) to (4, 4); the spike's end cuts a's edge there
+        a = Polygon(((0, 0), (4, 0), (4, 4), (0, 4)))
+        b = Polygon(((2, 1), (4, 1), (4, 3), (4, 2), (2, 2)))
+        assert intersection_area(a, b) == intersection_area(b, a) == 2.0
 
     def test_long_polygons_stay_in_small_memory(self):
         t = np.linspace(0.0, 2.0 * np.pi, 3000, endpoint=False)

@@ -147,6 +147,13 @@ class TestCascadeForward:
         with pytest.raises(ConfigError):
             CascadeConfig(blocks=[ConvBlock.zeros(2, 3)] * 2)
 
+    def test_mixed_activations_rejected(self):
+        # the weight file records one activation, so relu, none, none would
+        # come back from a save and a load as relu three times
+        blocks = [ConvBlock.zeros(2, 3, activation) for activation in ("relu", "none", "none")]
+        with pytest.raises(ConfigError, match="one activation"):
+            CascadeConfig(blocks=blocks)
+
 
 class TestParamCount:
     def test_hand_count_small(self):
