@@ -5,15 +5,16 @@ Subcommands: ``fuse`` (ensemble pseudo-label generation), ``nms``
 F-measure against ground truth), ``forward`` (run a reference module on a
 tensor file), ``params`` (parameter-count table).
 
-Exit codes are fixed for scripting: 0 ok, 2 file parse error, 3 image-id
-mismatch, 4 invalid parameters or config, 5 shape/config mismatch in
-``forward``. Outputs are canonical JSON, so identical inputs and flags
-produce byte-identical files.
+Exit codes are fixed for scripting: 0 ok, 2 file parse error or malformed
+command line, 3 image-id mismatch, 4 invalid parameters or config, 5
+shape/config mismatch or an overflow in ``forward``. Outputs are canonical
+JSON, so identical inputs and flags produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -33,6 +34,7 @@ EXIT_PARAMS = 4
 EXIT_SHAPES = 5
 
 
+@functools.cache  # built once per process: building costs more than a parse
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="textdetkit",
@@ -190,10 +192,11 @@ def cmd_forward(args) -> int:
     if not isinstance(config, dict):
         raise ConfigError("weights file carries no config object")
     _, _, inputs = formats.load_tensor_file(args.input)
-    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
-        out = runner(config, tensors, inputs)
-    if not np.isfinite(out).all():  # finite weights and inputs can still overflow
-        raise ConfigError(f"{args.module} module output overflows to a non-finite value")
+    try:  # finite weights and inputs can still overflow inside the module
+        with np.errstate(over="raise", invalid="raise"):
+            out = runner(config, tensors, inputs)
+    except FloatingPointError as exc:
+        raise ConfigError(f"{args.module} module overflows to a non-finite value ({exc})") from exc
     formats.save_tensor_file(args.out, {"output": out})
     print(f"output shape: {list(out.shape)}")
     return EXIT_OK

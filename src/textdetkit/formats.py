@@ -160,9 +160,12 @@ def rle_decode(obj) -> BitMask:
         raise ParseError("invalid RLE mask: needs width, height and a counts list")
     width = _json_int(obj.get("width"), "RLE width")
     height = _json_int(obj.get("height"), "RLE height")
-    counts = [_json_int(c, "RLE count") for c in obj["counts"]]
+    counts = obj["counts"]
+    if not set(map(type, counts)) <= {int}:
+        bad = next(c for c in counts if type(c) is not int)
+        raise ParseError(f"RLE count must be an integer, got {bad!r}")
     _check_frame(width, height, "RLE mask")
-    if any(c < 0 for c in counts) or sum(counts) != width * height:
+    if min(counts, default=0) < 0 or sum(counts) != width * height:
         raise ParseError(
             f"RLE counts sum {sum(counts)} != {width}x{height} = {width * height}"
         )

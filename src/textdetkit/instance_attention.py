@@ -208,7 +208,7 @@ def _check_roi(f, cfg: AttentionConfig) -> Tensor:
         raise ShapeError(f"RoI features must be (M, C, H, W), got rank {arr.ndim}")
     if arr.shape[0] == 0:
         raise EmptyProposalSet("need at least one instance proposal")
-    m, c, h, w = arr.shape
+    _, c, h, w = arr.shape
     if c != cfg.channels:
         raise ShapeError(f"RoI channels {c} != configured {cfg.channels}")
     if (h, w) != (cfg.roi_height, cfg.roi_width):
@@ -222,32 +222,25 @@ def roi_to_tokens(f, cfg: AttentionConfig) -> Tensor:
     """Reduce (M, C, H, W) RoI features to M tokens of width d_model.
 
     Per instance: 1 x 1 conv to reduced channels, adaptive max pool to the
-    pooled grid, row-major flatten.
+    pooled grid, row-major flatten; the pool runs once over all instances.
     """
     f = _check_roi(f, cfg)
-    m = f.shape[0]
-    tokens = np.empty((m, cfg.d_model))
-    for i in range(m):
-        reduced = conv2d(f[i], cfg.reduce)
-        pooled = adaptive_max_pool(reduced, cfg.pool_height, cfg.pool_width)
-        tokens[i] = pooled.ravel()
-    return tokens
+    reduced = np.stack([conv2d(x, cfg.reduce) for x in f])
+    pooled = adaptive_max_pool(reduced.reshape(-1, cfg.roi_height, cfg.roi_width),
+                               cfg.pool_height, cfg.pool_width)
+    return pooled.reshape(len(f), cfg.d_model)
 
 
 def _self_attention(x: Tensor, layer: EncoderLayer, heads: int):
+    """Scaled dot-product attention batched over heads: q, k and v are
+    (heads, M, d_head) views of the projected (M, d_model) tokens."""
     m, d = x.shape
     d_head = d // heads
-    scale = 1.0 / math.sqrt(d_head)
-    q = linear(x, layer.w_query, layer.b_query)
-    k = linear(x, layer.w_key, layer.b_key)
-    v = linear(x, layer.w_value, layer.b_value)
-    mixed = np.empty_like(x)
-    maps = np.empty((heads, m, m))
-    for h in range(heads):
-        sl = slice(h * d_head, (h + 1) * d_head)
-        attn = softmax(q[:, sl] @ k[:, sl].T * scale)
-        maps[h] = attn
-        mixed[:, sl] = attn @ v[:, sl]
+    q, k, v = (linear(x, w, b).reshape(m, heads, d_head).transpose(1, 0, 2)
+               for w, b in ((layer.w_query, layer.b_query), (layer.w_key, layer.b_key),
+                            (layer.w_value, layer.b_value)))
+    maps = softmax(q @ k.transpose(0, 2, 1) * (1.0 / math.sqrt(d_head)))
+    mixed = (maps @ v).transpose(1, 0, 2).reshape(m, d)
     return linear(mixed, layer.w_out, layer.b_out), maps
 
 
@@ -272,9 +265,7 @@ def transformer_encoder(tokens, cfg: AttentionConfig, return_attention: bool = F
         x = layer_norm(x + linear(hidden, layer.ffn_w2, layer.ffn_b2),
                        layer.norm2_gamma, layer.norm2_beta)
         attention_maps.append(maps)
-    if return_attention:
-        return x, attention_maps
-    return x
+    return (x, attention_maps) if return_attention else x
 
 
 def tokens_to_roi(tokens, cfg: AttentionConfig) -> Tensor:
@@ -285,13 +276,10 @@ def tokens_to_roi(tokens, cfg: AttentionConfig) -> Tensor:
         raise ShapeError(
             f"token sequence must be (M, {cfg.d_model}), got {tuple(tokens.shape)}"
         )
-    m = tokens.shape[0]
-    out = np.empty((m, cfg.channels, cfg.roi_height, cfg.roi_width))
-    for i in range(m):
-        grid = tokens[i].reshape(cfg.reduced_channels, cfg.pool_height, cfg.pool_width)
-        up = bilinear_upsample(grid, cfg.roi_height, cfg.roi_width)
-        out[i] = conv2d(up, cfg.recover)
-    return out
+    grids = tokens.reshape(-1, cfg.pool_height, cfg.pool_width)
+    up = bilinear_upsample(grids, cfg.roi_height, cfg.roi_width)
+    up = up.reshape(len(tokens), cfg.reduced_channels, cfg.roi_height, cfg.roi_width)
+    return np.stack([conv2d(x, cfg.recover) for x in up])
 
 
 def global_context(pyramid, cfg: AttentionConfig) -> Tensor:
@@ -331,19 +319,12 @@ def fuse_features(f, enhanced, context_vec) -> Tensor:
 def forward(f, pyramid, cfg: AttentionConfig, return_attention: bool = False):
     """Full pipeline: tokens -> encoder -> recovered maps -> fusion.
 
-    Output shape always equals the input RoI shape (M, C, H, W).
+    Output shape always equals the input RoI shape (M, C, H, W); ``roi_to_tokens``
+    checks it. ``return_attention`` adds the encoder's attention maps.
     """
-    tokens = roi_to_tokens(f, cfg)
-    if return_attention:
-        encoded, maps = transformer_encoder(tokens, cfg, return_attention=True)
-    else:
-        encoded = transformer_encoder(tokens, cfg)
-    enhanced = tokens_to_roi(encoded, cfg)
-    g = global_context(pyramid, cfg)
-    fused = fuse_features(_check_roi(f, cfg), enhanced, g)
-    if return_attention:
-        return fused, maps
-    return fused
+    encoded, maps = transformer_encoder(roi_to_tokens(f, cfg), cfg, return_attention=True)
+    fused = fuse_features(f, tokens_to_roi(encoded, cfg), global_context(pyramid, cfg))
+    return (fused, maps) if return_attention else fused
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,9 @@ pixel, point-in-polygon is a local crossing-number routine, polygon
 intersection clips convex trapezoid pieces pairwise (Sutherland-Hodgman), a
 tensor payload is written value by value through the generic canonical JSON
 emitter, and blobs are built by stamping shapes, with holes filled by scipy.
+The instance-attention stages are run one instance and one head at a time
+into preallocated buffers, on the same kernels, so the batched stages must
+match them byte for byte.
 """
 
 import hashlib
@@ -19,6 +22,9 @@ from scipy import ndimage
 
 from textdetkit.formats import dumps_canonical
 from textdetkit.geometry import BitMask, Polygon
+from textdetkit.instance_attention import fuse_features, global_context
+from textdetkit.ndtensor import (adaptive_max_pool, bilinear_upsample, conv2d, layer_norm,
+                                 linear, relu, softmax)
 from textdetkit.pseudolabel import ScoredDetection
 
 
@@ -255,6 +261,57 @@ def tensor_payload(arrays: dict) -> tuple[str, str]:
                                    "data": arrays[name].ravel().tolist()}
                             for name in sorted(arrays)})
     return text, hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# instance attention, one instance and one head at a time
+
+
+def looped_roi_to_tokens(f, cfg):
+    tokens = np.empty((f.shape[0], cfg.d_model))
+    for i in range(f.shape[0]):
+        reduced = conv2d(f[i], cfg.reduce)
+        tokens[i] = adaptive_max_pool(reduced, cfg.pool_height, cfg.pool_width).ravel()
+    return tokens
+
+
+def looped_encoder(tokens, cfg):
+    """(encoded tokens, per-layer (heads, M, M) attention maps)."""
+    x, all_maps = tokens, []
+    for layer in cfg.layers:
+        m, d = x.shape
+        d_head = d // cfg.heads
+        q = linear(x, layer.w_query, layer.b_query)
+        k = linear(x, layer.w_key, layer.b_key)
+        v = linear(x, layer.w_value, layer.b_value)
+        mixed = np.empty_like(x)
+        maps = np.empty((cfg.heads, m, m))
+        for h in range(cfg.heads):
+            sl = slice(h * d_head, (h + 1) * d_head)
+            maps[h] = softmax(q[:, sl] @ k[:, sl].T * (1.0 / math.sqrt(d_head)))
+            mixed[:, sl] = maps[h] @ v[:, sl]
+        x = layer_norm(x + linear(mixed, layer.w_out, layer.b_out),
+                       layer.norm1_gamma, layer.norm1_beta)
+        hidden = relu(linear(x, layer.ffn_w1, layer.ffn_b1))
+        x = layer_norm(x + linear(hidden, layer.ffn_w2, layer.ffn_b2),
+                       layer.norm2_gamma, layer.norm2_beta)
+        all_maps.append(maps)
+    return x, all_maps
+
+
+def looped_tokens_to_roi(tokens, cfg):
+    out = np.empty((tokens.shape[0], cfg.channels, cfg.roi_height, cfg.roi_width))
+    for i in range(tokens.shape[0]):
+        grid = tokens[i].reshape(cfg.reduced_channels, cfg.pool_height, cfg.pool_width)
+        out[i] = conv2d(bilinear_upsample(grid, cfg.roi_height, cfg.roi_width), cfg.recover)
+    return out
+
+
+def looped_forward(f, pyramid, cfg):
+    """(fused features, attention maps) of the whole module."""
+    encoded, maps = looped_encoder(looped_roi_to_tokens(f, cfg), cfg)
+    enhanced = looped_tokens_to_roi(encoded, cfg)
+    return fuse_features(f, enhanced, global_context(pyramid, cfg)), maps
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
 import contextlib
-import functools
 import io
 import json
 import tracemalloc
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from textdetkit import cli, formats, instance_attention, multipath
+from textdetkit import formats, instance_attention, multipath
 from textdetkit.cli import main
 from textdetkit.evaluate import GroundTruthSet, compute_metrics, match_detections
 from textdetkit.geometry import BitMask, mask_to_polygons
@@ -33,6 +32,20 @@ def square_detection(x0, y0, size, score):
     bits = np.zeros((CANVAS, CANVAS), dtype=bool)
     bits[y0:y0 + size, x0:x0 + size] = True
     return ScoredDetection.from_mask(BitMask.from_array(bits), score)
+
+
+# float-flag values beside "nan": argparse takes each but "-inf" (an unknown option)
+ODD_FLAG_VALUES = ("inf", "-inf", "-1", "1e309")
+
+
+def clean_exit(argv) -> int:
+    """Runs the CLI; it must exit 0, 2 or 4, with an error line when it fails."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2, 4), argv
+    assert code == 0 or "error:" in err.getvalue(), argv
+    return code
 
 
 @pytest.fixture
@@ -133,6 +146,9 @@ class TestFuse:
         write_detection_file(ok, [])
         assert main(["fuse", "--det-a", str(ok), "--det-b", str(ok), "--det-c", str(ok),
                      flag, "nan", "--out", str(tmp_path / "o.json")]) == 4
+        for value in ODD_FLAG_VALUES:
+            clean_exit(["fuse", "--det-a", str(ok), "--det-b", str(ok), "--det-c", str(ok),
+                        flag, value, "--out", str(tmp_path / "o.json")])
 
 
 class TestNms:
@@ -200,6 +216,8 @@ class TestNms:
         out = tmp_path / "out.json"
         assert main(["nms", "--in", str(src), *flags, "--out", str(out)]) == 4
         assert not out.exists()
+        for value in ODD_FLAG_VALUES:
+            clean_exit(["nms", "--in", str(src), *flags[:-1], value, "--out", str(out)])
 
 
 class TestFieldTypes:
@@ -461,6 +479,17 @@ class TestEval:
         report = json.loads(report_path.read_text())
         assert report["truePositives"] == 0 and report["matchedPairs"] == []
 
+    def test_nan_iou_exit_4(self, tmp_path):
+        det = square_detection(4, 4, 10, 0.9)
+        gt_path, det_path = tmp_path / "gt.json", tmp_path / "det.json"
+        self._write_gt(gt_path, mask_to_polygons(det.mask))
+        write_detection_file(det_path, [det])
+        argv = ["eval", "--gt", str(gt_path), "--det", str(det_path),
+                "--report", str(tmp_path / "report.json")]
+        assert main([*argv, "--iou", "nan"]) == 4
+        for value in ODD_FLAG_VALUES:
+            clean_exit([*argv, "--iou", value])
+
     def test_empty_detections_flagged(self, tmp_path):
         d1 = square_detection(4, 4, 10, 0.9)
         gt_path, det_path = tmp_path / "gt.json", tmp_path / "det.json"
@@ -607,6 +636,28 @@ class TestForward:
         assert err.startswith("error:") and "non-finite" in err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_attention_logits_exit_5(self, tmp_path, capsys):
+        # every value is finite, but the attention logits overflow before the
+        # softmax, long before the output
+        cfg = instance_attention.AttentionConfig.random(
+            np.random.default_rng(0), channels=4, reduced_channels=2, roi_size=(3, 3),
+            pool_size=(1, 1), encoder_layers=1, heads=1, pyramid_channels=[4])
+        config, tensors = instance_attention.to_named_tensors(cfg)
+        for name in ("layer0.query.weight", "layer0.key.weight"):
+            tensors[name] = tensors[name] * 1e200
+        weights, inputs = tmp_path / "weights.json", tmp_path / "input.json"
+        formats.save_tensor_file(weights, tensors, module="inter", config=config)
+        rng = np.random.default_rng(1)
+        formats.save_tensor_file(inputs, {"roi": rng.normal(size=(3, 4, 3, 3)),
+                                          "pyramid.0": rng.normal(size=(4, 5, 5))})
+        out = tmp_path / "o.json"
+        assert main(["forward", "--module", "inter", "--weights", str(weights),
+                     "--input", str(inputs), "--out", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "non-finite" in err
+        assert not out.exists()
+
 
 TENSOR_FILE_MUTATIONS = ("drop-doc-key", "drop-entry-key", "shape-entry", "truncate-data",
                          "nest-data", "non-dict-entry", "checksum")
@@ -712,9 +763,7 @@ class TestMutatedImageFiles:
                 yield path, value, mutant
 
     @pytest.mark.parametrize("which", ["detections", "gt"])
-    def test_commands_fail_cleanly(self, tmp_path, monkeypatch, which):
-        # building the argument parser is most of a run on files this small
-        monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
+    def test_commands_fail_cleanly(self, tmp_path, which):
         det, gt, out = tmp_path / "det.json", tmp_path / "gt.json", tmp_path / "o.json"
         det.write_text(json.dumps(self.DETECTIONS))
         gt.write_text(json.dumps(self.GT))
@@ -793,3 +842,27 @@ class TestArgumentErrors:
 
     def test_missing_required_flag(self, capsys):
         assert main(["fuse", "--det-a", "x.json"]) == 2
+
+    @pytest.mark.parametrize("value", ["abc", ""])
+    def test_malformed_flag_values(self, tmp_path, monkeypatch, value):
+        # each flag of the image commands in turn; an output named "abc" is
+        # written to tmp_path and removed, so no later run reads it
+        monkeypatch.chdir(tmp_path)
+        write_detection_file(tmp_path / "det.json", [square_detection(2, 2, 6, 0.9)])
+        formats.save_ground_truth_file(tmp_path / "gt.json", GroundTruthSet(
+            "img", mask_to_polygons(square_detection(2, 2, 6, 0.9).mask), [False],
+            image_width=CANVAS, image_height=CANVAS))
+        fuse = {"--det-a": "det.json", "--det-b": "det.json", "--det-c": "det.json",
+                "--iou-threshold": "0.8", "--alpha": "0.5", "--iou-mode": "mask",
+                "--out": "o.json"}
+        nms = {"--in": "det.json", "--mode": "hard", "--iou-threshold": "0.5",
+               "--sigma": "0.5", "--score-floor": "0.001", "--iou-mode": "mask",
+               "--out": "o.json"}
+        evaluate = {"--gt": "gt.json", "--det": "det.json", "--iou": "0.5",
+                    "--report": "r.json"}
+        for command, flags in (("fuse", fuse), ("nms", nms), ("eval", evaluate)):
+            for flag in flags:
+                argv = [command, *(a for k, v in {**flags, flag: value}.items() for a in (k, v))]
+                code = clean_exit(argv)
+                assert code != 0 or flag in ("--out", "--report"), argv
+                (tmp_path / "abc").unlink(missing_ok=True)

@@ -86,8 +86,9 @@ class TestRle:
         assert formats.rle_decode(formats.rle_encode(full)) == full
 
     def test_bad_counts_rejected(self):
-        with pytest.raises(ParseError):
-            formats.rle_decode({"width": 4, "height": 4, "counts": [3]})
+        for counts in ([3], [2**70], [-1, 17], [2**70, 16 - 2**70]):
+            with pytest.raises(ParseError):
+                formats.rle_decode({"width": 4, "height": 4, "counts": counts})
 
     @pytest.mark.parametrize("counts", [[0, 10.7, 6.0], [True, 15], [0, 16.0], ["16"]])
     def test_non_integer_counts_rejected(self, counts):

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from textdetkit.errors import ConfigError, EmptyProposalSet, ShapeError
 from textdetkit.instance_attention import (
@@ -20,6 +22,8 @@ from textdetkit.instance_attention import (
     transformer_encoder,
 )
 from textdetkit.ndtensor import Conv2dKernel
+
+from conftest import looped_encoder, looped_forward, looped_roi_to_tokens, looped_tokens_to_roi
 
 
 def small_config(rng=None, **kwargs):
@@ -256,6 +260,75 @@ class TestFuseAndForward:
         out = forward(f, pyramid, cfg)
         out_perm = forward(f[perm], pyramid, cfg)
         assert np.max(np.abs(out_perm - out[perm])) <= 1e-9
+
+
+def same_bytes(a, b) -> bool:
+    """array_equal, and equal bytes too: array_equal takes -0.0 for 0.0."""
+    return np.array_equal(a, b) and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def attention_cases(draw):
+    """(config, RoI batch, pyramid) with small random dimensions and weights."""
+    reduced = draw(st.integers(1, 3))
+    roi = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    pool = (draw(st.integers(1, roi[0])), draw(st.integers(1, roi[1])))
+    d_model = pool[0] * pool[1] * reduced
+    heads = draw(st.sampled_from([h for h in range(1, d_model + 1) if d_model % h == 0]))
+    channels = draw(st.integers(1, 5))
+    pyramid_channels = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
+    m = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cfg = AttentionConfig.random(
+        rng, channels=channels, reduced_channels=reduced, roi_size=roi, pool_size=pool,
+        encoder_layers=draw(st.integers(1, 2)), heads=heads,
+        pyramid_channels=pyramid_channels, scale=draw(st.sampled_from([0.05, 1.0, 4.0])))
+    f = rng.normal(size=(m, channels, *roi))
+    f[..., 0] *= -0.0  # signed zeros must survive the pooling and the fusion
+    pyramid = [rng.normal(size=(c, 3, 2)) for c in pyramid_channels]
+    return cfg, f, pyramid
+
+
+EDGE_CASES = [  # M = 1, one head, a 1x1 pool, a pool equal to the RoI
+    dict(m=1, channels=3, reduced_channels=2, roi_size=(4, 5), pool_size=(2, 2), heads=2),
+    dict(m=4, channels=3, reduced_channels=4, roi_size=(4, 4), pool_size=(2, 2), heads=1),
+    dict(m=3, channels=2, reduced_channels=4, roi_size=(5, 3), pool_size=(1, 1), heads=4),
+    dict(m=3, channels=2, reduced_channels=1, roi_size=(3, 4), pool_size=(3, 4), heads=3),
+]
+
+
+class TestBatchedStagesMatchLoops:
+    """The stages run over all instances and heads at once, and give the bytes
+    of the per-instance and per-head loops in conftest."""
+
+    @staticmethod
+    def _check(cfg, f, pyramid):
+        tokens = roi_to_tokens(f, cfg)
+        assert same_bytes(tokens, looped_roi_to_tokens(f, cfg))
+        encoded, maps = transformer_encoder(tokens, cfg, return_attention=True)
+        want_encoded, want_maps = looped_encoder(tokens, cfg)
+        assert same_bytes(encoded, want_encoded)
+        assert len(maps) == len(want_maps)
+        assert all(same_bytes(a, b) for a, b in zip(maps, want_maps))
+        assert same_bytes(tokens_to_roi(encoded, cfg), looped_tokens_to_roi(encoded, cfg))
+        want_out, want_maps = looped_forward(f, pyramid, cfg)
+        out, maps = forward(f, pyramid, cfg, return_attention=True)
+        assert same_bytes(out, want_out)
+        assert all(same_bytes(a, b) for a, b in zip(maps, want_maps))
+        assert same_bytes(forward(f, pyramid, cfg), want_out)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=attention_cases())
+    def test_random_configs(self, case):
+        self._check(*case)
+
+    @pytest.mark.parametrize("dims", EDGE_CASES)
+    def test_edge_configs(self, rng, dims):
+        dims = dict(dims)
+        m = dims.pop("m")
+        cfg = AttentionConfig.random(rng, encoder_layers=2, pyramid_channels=[2, 3], **dims)
+        f = rng.normal(size=(m, dims["channels"], *dims["roi_size"]))
+        self._check(cfg, f, [rng.normal(size=(2, 4, 4)), rng.normal(size=(3, 2, 2))])
 
 
 class TestParamsAndSerialization:
