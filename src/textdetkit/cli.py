@@ -219,10 +219,32 @@ def cmd_params(args) -> int:
     return EXIT_OK
 
 
+def _join_signed_values(argv) -> list[str]:
+    """argv with each signed float value ("-inf", "-1e5") joined to the long
+    flag in front of it as "--flag=value": argparse reads such a token as an
+    option, unless it is a plain negative number."""
+    out = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if token.startswith("-") and prev.startswith("--") and "=" not in prev and _is_float(token):
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
+
+
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:

@@ -165,7 +165,9 @@ def rle_decode(obj) -> BitMask:
         bad = next(c for c in counts if type(c) is not int)
         raise ParseError(f"RLE count must be an integer, got {bad!r}")
     _check_frame(width, height, "RLE mask")
-    if min(counts, default=0) < 0 or sum(counts) != width * height:
+    if min(counts, default=0) < 0:
+        raise ParseError(f"RLE count must be non-negative, got {min(counts)}")
+    if sum(counts) != width * height:
         raise ParseError(
             f"RLE counts sum {sum(counts)} != {width}x{height} = {width * height}"
         )

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import GeometryError, ShapeError
 
@@ -415,23 +414,26 @@ _SIDE_FROM = np.array([(0, 0), (1, 0), (1, 1), (0, 1)])
 _SIDE_TO = np.array([(1, 0), (1, 1), (0, 1), (0, 0)])
 
 
-def _boundary_loops(comp: np.ndarray):
-    """Closed grid-edge loops around a component, foreground kept on the left.
+def _boundary_loops(crop: np.ndarray):
+    """Closed grid-edge loops around every 8-connected component of a crop,
+    foreground kept on the left, all traced in one pass with no labelling.
 
-    Returns one (n, 2) integer vertex array per loop; the outer boundary
-    winds CCW (positive shoelace), hole boundaries wind CW. Edges are
-    numbered over row-major pixels, then sides up/right/down/left; each loop
-    starts at its lowest-numbered edge. At pinch corners (pixels touching
-    diagonally) the walk passes through to the diagonal pixel.
+    Returns one (n, 2) integer vertex array per loop; outer boundaries wind
+    CCW (positive shoelace), hole boundaries CW. Edges are numbered over
+    row-major pixels, then sides up/right/down/left; each loop starts at
+    its lowest-numbered edge, so outer loops come in the raster order of
+    their components' first pixels. At pinch corners (pixels touching
+    diagonally) the walk passes through to the diagonal pixel, which is of
+    the same component: any two pixels around a vertex are 8-neighbours.
     """
-    h, w = comp.shape
+    h, w = crop.shape
     padded = np.zeros((h + 2, w + 2), bool)
-    padded[1:-1, 1:-1] = comp
+    padded[1:-1, 1:-1] = crop
     open_sides = np.stack([
-        comp & ~padded[:-2, 1:-1],   # no neighbor above
-        comp & ~padded[1:-1, 2:],    # no neighbor to the right
-        comp & ~padded[2:, 1:-1],    # no neighbor below
-        comp & ~padded[1:-1, :-2],   # no neighbor to the left
+        crop & ~padded[:-2, 1:-1],   # no neighbor above
+        crop & ~padded[1:-1, 2:],    # no neighbor to the right
+        crop & ~padded[2:, 1:-1],    # no neighbor below
+        crop & ~padded[1:-1, :-2],   # no neighbor to the left
     ], axis=-1)
     ys, xs, sides = np.nonzero(open_sides)
     pixel = np.stack([xs, ys], axis=1)
@@ -474,24 +476,20 @@ def _merge_collinear(loop: np.ndarray) -> np.ndarray:
 
 
 def mask_to_polygons(m: BitMask) -> list[Polygon]:
-    """Outer contours of the 8-connected foreground components of a mask.
-
-    Each component contributes one CCW polygon tracing the pixel boundary
-    grid lines (collinear vertices merged, holes ignored). Rasterizing the
-    returned polygons with :func:`polygon_to_mask` reproduces hole-free
-    components exactly.
+    """Outer contours of the 8-connected foreground components of a mask,
+    in the raster order of each component's first pixel: one CCW polygon
+    each along the pixel boundary grid lines (collinear vertices merged,
+    holes ignored). Rasterizing the returned polygons with
+    :func:`polygon_to_mask` reproduces hole-free components exactly.
     """
     if m.is_empty():
         return []
-    labels, _ = ndimage.label(m.crop, structure=np.ones((3, 3), int))
     polygons = []
-    for comp_id, (rows, cols) in enumerate(ndimage.find_objects(labels), start=1):
-        offset = (m.x0 + cols.start, m.y0 + rows.start)
-        for loop in _boundary_loops(labels[rows, cols] == comp_id):
-            verts = _merge_collinear(loop)
-            x, y = verts[:, 0], verts[:, 1]
-            if np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y) > 0:  # outer, not a hole
-                polygons.append(Polygon(tuple((verts + offset).tolist())))
+    for loop in _boundary_loops(m.crop):
+        verts = _merge_collinear(loop)
+        x, y = verts[:, 0], verts[:, 1]
+        if np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y) > 0:  # outer, not a hole
+            polygons.append(Polygon(tuple((verts + (m.x0, m.y0)).tolist())))
     return polygons
 
 

@@ -34,8 +34,10 @@ def square_detection(x0, y0, size, score):
     return ScoredDetection.from_mask(BitMask.from_array(bits), score)
 
 
-# float-flag values beside "nan": argparse takes each but "-inf" (an unknown option)
+# float-flag values beside "nan"; argparse alone reads a signed one that is not a
+# plain negative number ("-inf", "-1e5") as an option, so main joins it to its flag
 ODD_FLAG_VALUES = ("inf", "-inf", "-1", "1e309")
+SIGNED_FLAG_VALUES = ("-inf", "-1e5")  # out of every float flag's range
 
 
 def clean_exit(argv) -> int:
@@ -46,6 +48,14 @@ def clean_exit(argv) -> int:
     assert code in (0, 2, 4), argv
     assert code == 0 or "error:" in err.getvalue(), argv
     return code
+
+
+def range_check_fails(argv) -> None:
+    """Runs the CLI; it must exit 4 with the range check's message."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 4, argv
+    assert "must be in" in err.getvalue(), argv
 
 
 @pytest.fixture
@@ -149,6 +159,9 @@ class TestFuse:
         for value in ODD_FLAG_VALUES:
             clean_exit(["fuse", "--det-a", str(ok), "--det-b", str(ok), "--det-c", str(ok),
                         flag, value, "--out", str(tmp_path / "o.json")])
+        for value in SIGNED_FLAG_VALUES:
+            range_check_fails(["fuse", "--det-a", str(ok), "--det-b", str(ok),
+                               "--det-c", str(ok), flag, value, "--out", str(tmp_path / "o.json")])
 
 
 class TestNms:
@@ -218,6 +231,8 @@ class TestNms:
         assert not out.exists()
         for value in ODD_FLAG_VALUES:
             clean_exit(["nms", "--in", str(src), *flags[:-1], value, "--out", str(out)])
+        for value in SIGNED_FLAG_VALUES:
+            range_check_fails(["nms", "--in", str(src), *flags[:-1], value, "--out", str(out)])
 
 
 class TestFieldTypes:
@@ -489,6 +504,8 @@ class TestEval:
         assert main([*argv, "--iou", "nan"]) == 4
         for value in ODD_FLAG_VALUES:
             clean_exit([*argv, "--iou", value])
+        for value in SIGNED_FLAG_VALUES:
+            range_check_fails([*argv, "--iou", value])
 
     def test_empty_detections_flagged(self, tmp_path):
         d1 = square_detection(4, 4, 10, 0.9)

@@ -180,6 +180,10 @@ DISJOINT = (_grid(["##...", "##...", ".....", "....."]), _grid([".....", "....."
 EDGE_TOUCH = (_grid(["##..", "##..", "...."]), _grid(["..##", "..##", "...."]))
 CORNER_TOUCH = (_grid(["##..", "##..", "....", "...."]), _grid(["....", "....", "..##", "..##"]))
 NESTED = (np.ones((5, 5), bool), _grid([".....", ".###.", ".#.#.", ".###.", "....."]))
+# where a trace over the whole crop could emit the outer loops out of order:
+U_ISLAND = _grid(["#.#.#", "#...#", "#####"])    # an island between the arms of a U
+OVERLAPPING_BOXES = _grid(["###....", "#......", "#.#####", "#.....#", "......#"])
+PINCH_CHAIN = _grid(["#.#.#..#", ".#.#....", "#......#"])  # zigzag pinches, then a loner
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +295,24 @@ class TestAgainstFullFrame:
     @example(PINCH)
     @example(_grid(["#.#", ".#.", "#.#"]))
     @example(NESTED[0] ^ NESTED[1])
+    @example(U_ISLAND)
+    @example(OVERLAPPING_BOXES)
+    @example(PINCH_CHAIN)
     def test_mask_to_polygons(self, bits):
         got = [p.vertices for p in mask_to_polygons(BitMask.from_array(bits))]
         assert got == [p.vertices for p in oracle_mask_to_polygons(bits)]
+
+    def test_mask_to_polygons_large_frames(self):
+        # frames up to 60 x 60, beyond the 10 x 10 that hypothesis draws:
+        # nested rectangles toggled in turn leave rings, holes and islands in
+        # holes; noise adds pinches and components with overlapping boxes
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            height, width = rng.integers(20, 61, size=2)
+            bits = rng.random((height, width)) < rng.choice([0.03, 0.3, 0.5])
+            for _ in range(rng.integers(0, 9)):
+                y0, y1 = np.sort(rng.integers(0, height + 1, size=2))
+                x0, x1 = np.sort(rng.integers(0, width + 1, size=2))
+                bits[y0:y1, x0:x1] ^= True
+            got = [p.vertices for p in mask_to_polygons(BitMask.from_array(bits))]
+            assert got == [p.vertices for p in oracle_mask_to_polygons(bits)]

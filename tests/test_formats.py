@@ -86,8 +86,11 @@ class TestRle:
         assert formats.rle_decode(formats.rle_encode(full)) == full
 
     def test_bad_counts_rejected(self):
-        for counts in ([3], [2**70], [-1, 17], [2**70, 16 - 2**70]):
-            with pytest.raises(ParseError):
+        for counts, match in (([3], "sum 3 != 4x4"), ([2**70], f"sum {2**70} != 4x4"),
+                              ([-1, 17], "non-negative, got -1$"),
+                              ([2**70, 16 - 2**70], f"non-negative, got {16 - 2**70}$"),
+                              ([5, -1, 12], "non-negative, got -1$")):
+            with pytest.raises(ParseError, match=match):
                 formats.rle_decode({"width": 4, "height": 4, "counts": counts})
 
     @pytest.mark.parametrize("counts", [[0, 10.7, 6.0], [True, 15], [0, 16.0], ["16"]])
