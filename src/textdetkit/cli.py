@@ -127,6 +127,10 @@ def cmd_eval(args) -> int:
     check_range("--iou", args.iou, 0.0, 1.0)
     gt = formats.load_ground_truth_file(args.gt)
     det = formats.load_detection_file(args.det)
+    dims = {(gt.image_width, gt.image_height), (det.image_width, det.image_height)}
+    if len(dims) != 1:
+        raise ParseError(f"ground truth and detections disagree on image dimensions: "
+                         f"{sorted(dims)}")
     result = match_detections(gt, det, iou_thresh=args.iou)
     report = compute_metrics(result.matches, result.effective_gt,
                              result.effective_det, image_id=gt.image_id)

@@ -1,6 +1,6 @@
 """Exception types shared across the toolkit, the range check that
-configurations use to raise :class:`ConfigError`, and the integer check that
-file readers share."""
+configurations use to raise :class:`ConfigError`, and the integer and string
+checks that file readers share."""
 
 
 class ShapeError(ValueError):
@@ -49,4 +49,11 @@ def _json_int(value, what: str, error=ParseError) -> int:
     """An integer read from JSON; floats, bools and strings raise ``error``."""
     if type(value) is not int:
         raise error(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_str(value, what: str) -> str:
+    """A string read from JSON; any other JSON type raises ParseError."""
+    if type(value) is not str:
+        raise ParseError(f"{what} must be a JSON string, got {value!r}")
     return value

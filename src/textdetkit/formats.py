@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, _json_int
+from .errors import ParseError, _json_int, _json_str
 from .evaluate import GroundTruthSet
 from .geometry import (OVERHANG_TOL, AxisBox, BitMask, Polygon, mask_to_polygons,
                        polygon_to_mask, winds_once)
@@ -51,7 +51,13 @@ def format_float(x: float) -> str:
     return s + ".0"
 
 
-_encode_str = json.JSONEncoder(ensure_ascii=False).encode
+_encode_json_str = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def _encode_str(s: str) -> str:
+    """A JSON string literal; lone surrogates, which have no UTF-8 bytes, are escaped."""
+    return _encode_json_str(s).encode("utf-8", "backslashreplace").decode("utf-8")
+
 
 # the text of each JSON scalar, keyed on its exact Python type, so that a bool
 # is not taken for an int
@@ -64,13 +70,34 @@ _SCALAR_TEXT = {
 }
 
 
+def _array_text(a: np.ndarray) -> str:
+    """``dumps_canonical(a.tolist())`` of a float64 array, in one ``%``
+    formatting call. ``%.17g`` writes neither a ``.`` nor an ``e`` only for
+    integral values below 1e17 in magnitude (-0.0 among them), so exactly
+    those get ``.0`` appended; non-finite values raise ValueError."""
+    if a.size == 0:
+        return dumps_canonical(a.tolist())
+    flat = a.ravel()
+    if not np.isfinite(flat).all():
+        raise ValueError(f"cannot serialize non-finite number {flat[~np.isfinite(flat)][0]}")
+    parts = ["%.17g"] * flat.size
+    for i in np.flatnonzero((flat == np.floor(flat)) & (np.abs(flat) < 1e17)).tolist():
+        parts[i] = "%.17g.0"
+    for n in reversed(a.shape):  # bracket the innermost axis first
+        parts = ["[" + ",".join(parts[i:i + n]) + "]" for i in range(0, len(parts), n)]
+    return parts[0] % tuple(flat.tolist())
+
+
 def dumps_canonical(obj) -> str:
     """Canonical JSON text: no whitespace, keys in insertion order and written
     as ``str(key)``, tuples as lists, numpy integer and floating scalars as
-    the equal Python number. Anything else raises TypeError."""
+    the equal Python number, float64 arrays as nested lists. Anything else
+    raises TypeError."""
     text = _SCALAR_TEXT.get(type(obj))
     if text is not None:
         return text(obj)
+    if isinstance(obj, np.ndarray) and obj.dtype == np.float64:
+        return _array_text(obj)
     if isinstance(obj, dict):
         return "{" + ",".join([_encode_str(str(key)) + ":" + dumps_canonical(value)
                                for key, value in obj.items()]) + "}"
@@ -211,15 +238,14 @@ def _read_image_doc(path, list_key):
     """Returns (doc, image_id, width, height, records) of a checked document."""
     doc = read_json(path)
     _check_schema(doc, path)
-    if "imageId" not in doc:
-        raise ParseError(f"{path}: bad image header: no 'imageId'")
+    image_id = _json_str(doc.get("imageId"), f"{path}: imageId")
     width = _json_int(doc.get("imageWidth"), f"{path}: imageWidth")
     height = _json_int(doc.get("imageHeight"), f"{path}: imageHeight")
     _check_frame(width, height, f"{path}: image")
     records = doc.get(list_key)
     if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
         raise ParseError(f"{path}: {list_key!r} must be a list of objects")
-    return doc, str(doc["imageId"]), width, height, records
+    return doc, image_id, width, height, records
 
 
 def _check_in_frame(what, coords, width, height, path) -> None:
@@ -249,15 +275,13 @@ def _polygon_from_json(raw, width, height, path) -> Polygon:
         raise ParseError(f"{path}: polygon must list >= 3 points")
     if not all(isinstance(p, list) and len(p) == 2 for p in raw):
         raise ParseError(f"{path}: polygon points must be [x, y] number pairs")
-    pts = _json_numbers([c for p in raw for c in p], f"{path}: polygon points")
-    pts = pts.reshape(-1, 2).tolist()
-    xs, ys = zip(*pts)
-    _check_in_frame("polygon extent", [min(xs), min(ys), max(xs), max(ys)], width, height, path)
-    # clamp the permitted 1 px overhang onto the canvas for rasterization; a
-    # NaN vertex survives the clamp and is rejected by Polygon
-    w, h = float(width), float(height)
+    pts = _json_numbers([c for p in raw for c in p], f"{path}: polygon points").reshape(-1, 2)
+    # the extent skips NaN, which Polygon rejects as not finite
+    extent = np.fmin.reduce(pts).tolist() + np.fmax.reduce(pts).tolist()
+    _check_in_frame("polygon extent", extent, width, height, path)
+    # clamp the permitted 1 px overhang onto the canvas for rasterization
     try:
-        return Polygon(tuple((min(max(x, 0.0), w), min(max(y, 0.0), h)) for x, y in pts))
+        return Polygon(np.clip(pts, 0.0, (float(width), float(height))))
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
@@ -337,8 +361,8 @@ def load_detection_file(path) -> DetectionSet:
     if type(scale) not in (int, float) or not 0.0 < scale <= sys.float_info.max:
         raise ParseError(f"{path}: scaleFactor must be a finite number > 0, got {scale!r}")
     return DetectionSet(image_id=image_id, detections=detections,
-                        source_tag=str(doc.get("sourceTag", "")), image_width=width,
-                        image_height=height, scale_factor=float(scale))
+                        source_tag=_json_str(doc.get("sourceTag", ""), f"{path}: sourceTag"),
+                        image_width=width, image_height=height, scale_factor=float(scale))
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +384,7 @@ def save_weighted_label_file(path, labels, image_id: str, width: int, height: in
     records = []
     for label in labels:
         record = _scored_record(label, "weight", label.weight)
-        record["polygons"] = [[[x, y] for x, y in poly.vertices]
-                              for poly in mask_to_polygons(label.mask)]
+        record["polygons"] = [poly.vertices for poly in mask_to_polygons(label.mask)]
         records.append(record)
     _write_image_doc(path, image_id, width, height,
                      {"sourceTag": source_tag, "scaleFactor": 1.0, "labels": records})
@@ -372,7 +395,7 @@ def load_weighted_label_file(path) -> WeightedLabelSet:
     return WeightedLabelSet(
         image_id=image_id,
         labels=[PseudoLabel(mask=mask, box=box, weight=weight) for weight, box, mask in rows],
-        source_tag=str(doc.get("sourceTag", "")),
+        source_tag=_json_str(doc.get("sourceTag", ""), f"{path}: sourceTag"),
         image_width=width,
         image_height=height,
     )
@@ -384,7 +407,7 @@ def load_weighted_label_file(path) -> WeightedLabelSet:
 
 def save_ground_truth_file(path, gt: GroundTruthSet) -> None:
     _write_image_doc(path, gt.image_id, gt.image_width, gt.image_height, {"instances": [
-        {"polygon": [[x, y] for x, y in poly.vertices], "ignore": bool(ignore)}
+        {"polygon": poly.vertices, "ignore": bool(ignore)}
         for poly, ignore in zip(gt.instances, gt.ignore_flags)
     ]})
 
@@ -411,28 +434,11 @@ def load_ground_truth_file(path) -> GroundTruthSet:
 # named tensor files
 
 
-def _data_text(flat: np.ndarray) -> str:
-    """``dumps_canonical(flat.tolist())`` without its brackets, in one ``%``
-    formatting call. ``%.17g`` writes neither a ``.`` nor an ``e`` only for
-    integral values below 1e17 in magnitude (-0.0 among them), so exactly
-    those get ``.0`` appended; non-finite values raise ValueError."""
-    finite = np.isfinite(flat)
-    if not finite.all():
-        raise ValueError(f"cannot serialize non-finite number {float(flat[~finite][0])}")
-    fmt = ["%.17g"] * flat.size
-    for i in np.flatnonzero((flat == np.floor(flat)) & (np.abs(flat) < 1e17)).tolist():
-        fmt[i] = "%.17g.0"
-    return ",".join(fmt) % tuple(flat.tolist())
-
-
 def _payload(arrays: dict) -> tuple[str, str]:
-    """The canonical text of a tensor payload and its sha256: the payload is
-    {name: {"shape", "data"}} in name order, with data as float64 values in
-    row-major order, the same text ``dumps_canonical`` gives that dict."""
-    text = "{" + ",".join([
-        _encode_str(str(name)) + ':{"shape":' + dumps_canonical(arrays[name].shape)
-        + ',"data":[' + _data_text(arrays[name].ravel()) + "]}"
-        for name in sorted(arrays)]) + "}"
+    """The canonical text of a tensor payload, {name: {"shape", "data"}} in
+    name order with the data in row-major order, and its sha256."""
+    text = dumps_canonical({name: {"shape": arrays[name].shape, "data": arrays[name].ravel()}
+                            for name in sorted(arrays)})
     return text, hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

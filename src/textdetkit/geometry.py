@@ -78,53 +78,57 @@ def iou_box(a: AxisBox, b: AxisBox) -> float:
 # polygons
 
 
-def _signed_area(vertices) -> float:
-    acc = 0.0
-    n = len(vertices)
-    for i in range(n):
-        x0, y0 = vertices[i]
-        x1, y1 = vertices[(i + 1) % n]
-        acc += x0 * y1 - x1 * y0
-    return acc / 2.0
+def _signed_area(v: np.ndarray) -> float:
+    """Shoelace area of an (n, 2) vertex array, positive counter-clockwise.
+    The terms are summed one after another in vertex order (a cumulative
+    sum, not numpy's pairwise one), so the area rounds as a plain loop's."""
+    nxt = np.concatenate([v[1:], v[:1]])
+    return float(np.add.accumulate(v[:, 0] * nxt[:, 1] - nxt[:, 0] * v[:, 1])[-1]) / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Polygon:
-    """Closed polygon with >= 3 vertices, stored counter-clockwise.
+    """Closed polygon with >= 3 vertices, stored counter-clockwise as a
+    read-only (n, 2) float64 array.
 
-    Construction drops consecutive duplicate points, rejects (near-)zero
-    signed area, and reverses clockwise input. Vertices may repeat at
-    non-adjacent positions (pinch points of mask contours).
+    Construction takes (x, y) pairs, drops consecutive duplicate points and
+    a closing point equal to the first, rejects (near-)zero signed area,
+    and reverses clockwise input. Vertices may repeat at non-adjacent
+    positions (pinch points of mask contours). Polygons compare by identity;
+    compare their vertex arrays to compare shapes.
     """
 
-    vertices: tuple
+    vertices: np.ndarray
 
     def __post_init__(self):
-        pts = []
-        for p in self.vertices:
-            x, y = float(p[0]), float(p[1])
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise GeometryError(f"polygon vertex is not finite: {p}")
-            if not pts or (x, y) != pts[-1]:
-                pts.append((x, y))
-        if len(pts) > 1 and pts[0] == pts[-1]:
-            pts.pop()
-        if len(pts) < 3:
-            raise GeometryError(f"polygon needs >= 3 distinct vertices, got {len(pts)}")
-        area = _signed_area(pts)
+        v = np.array(self.vertices, dtype=np.float64)
+        if v.ndim != 2 or v.shape[1] != 2:
+            raise GeometryError(f"polygon vertices must be (x, y) pairs, got shape {v.shape}")
+        if not np.isfinite(v).all():
+            bad = v[~np.isfinite(v).all(axis=1)][0].tolist()
+            raise GeometryError(f"polygon vertex is not finite: {bad}")
+        step = v[1:] != v[:-1]
+        moves = step[:, 0] | step[:, 1]
+        if not moves.all():
+            v = v[np.concatenate([[True], moves])]
+        if len(v) > 1 and v[0, 0] == v[-1, 0] and v[0, 1] == v[-1, 1]:
+            v = v[:-1]
+        if len(v) < 3:
+            raise GeometryError(f"polygon needs >= 3 distinct vertices, got {len(v)}")
+        area = _signed_area(v)
         if abs(area) <= _AREA_EPS:
             raise GeometryError("degenerate polygon: signed area is zero")
         if area < 0.0:
-            pts.reverse()
-        object.__setattr__(self, "vertices", tuple(pts))
+            v = v[::-1].copy()
+        v.flags.writeable = False
+        object.__setattr__(self, "vertices", v)
 
     def bounds(self) -> tuple[float, float, float, float]:
-        xs = [v[0] for v in self.vertices]
-        ys = [v[1] for v in self.vertices]
-        return (min(xs), min(ys), max(xs), max(ys))
+        return (*np.minimum.reduce(self.vertices).tolist(),
+                *np.maximum.reduce(self.vertices).tolist())
 
     def translated(self, dx: float, dy: float) -> "Polygon":
-        return Polygon(tuple((x + dx, y + dy) for x, y in self.vertices))
+        return Polygon(self.vertices + (dx, dy))
 
 
 def polygon_area(p: Polygon) -> float:
@@ -212,7 +216,7 @@ def winds_once(p: Polygon) -> bool:
     other side it is less by the signed passes along the piece. Every face
     of the boundary's arrangement borders a piece, so the test is exact.
     O(n^2) time; ``Polygon`` does not check."""
-    v = np.asarray(p.vertices).T
+    v = p.vertices.T
     d = np.roll(v, -1, axis=1) - v
     nxt = np.roll(d, -1, axis=1)
     # every edge meets itself and its two neighbours; a boundary that touches
@@ -256,14 +260,14 @@ def intersection_area(a: Polygon, b: Polygon) -> float:
     polygons give 0 or about 1e-16 of their area). Zero-width spikes cancel
     the same way.
     """
-    va, vb = np.asarray(a.vertices).T, np.asarray(b.vertices).T
+    va, vb = a.vertices.T, b.vertices.T
     # point reflection swaps the two sides and keeps x*dy - y*dx
     return 0.5 * (_boundary_integral(va, vb, va[:, :1]) + _boundary_integral(-vb, -va, -va[:, :1]))
 
 
 def iou_polygon(a: Polygon, b: Polygon) -> float:
     """|a n b| / |a u b| for polygons; symmetric by construction."""
-    if b.vertices < a.vertices:  # canonical operand order => exact symmetry
+    if b.vertices.tolist() < a.vertices.tolist():  # canonical operand order => exact symmetry
         a, b = b, a
     inter = intersection_area(a, b)
     union = polygon_area(a) + polygon_area(b) - inter
@@ -482,15 +486,8 @@ def mask_to_polygons(m: BitMask) -> list[Polygon]:
     holes ignored). Rasterizing the returned polygons with
     :func:`polygon_to_mask` reproduces hole-free components exactly.
     """
-    if m.is_empty():
-        return []
-    polygons = []
-    for loop in _boundary_loops(m.crop):
-        verts = _merge_collinear(loop)
-        x, y = verts[:, 0], verts[:, 1]
-        if np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y) > 0:  # outer, not a hole
-            polygons.append(Polygon(tuple((verts + (m.x0, m.y0)).tolist())))
-    return polygons
+    loops = map(_merge_collinear, _boundary_loops(m.crop))
+    return [Polygon(v + (m.x0, m.y0)) for v in loops if _signed_area(v) > 0]  # outer, not holes
 
 
 def polygon_to_mask(p: Polygon, width: int, height: int) -> BitMask:
@@ -508,35 +505,29 @@ def polygon_to_mask(p: Polygon, width: int, height: int) -> BitMask:
             f"canvas {width}x{height} too small for polygon bounds "
             f"({xmin:.3f}, {ymin:.3f}, {xmax:.3f}, {ymax:.3f})"
         )
-    crossings_by_row: dict[int, list[float]] = {}
-    verts = p.vertices
-    n = len(verts)
-    for i in range(n):
-        x0, y0 = verts[i]
-        x1, y1 = verts[(i + 1) % n]
-        if y0 == y1:
-            continue
-        ylo, yhi = (y0, y1) if y0 < y1 else (y1, y0)
-        r0 = max(math.ceil(ylo - 0.5), 0)
-        r1 = min(math.ceil(yhi - 0.5), height)
-        inv = 1.0 / (y1 - y0)
-        for r in range(r0, r1):
-            yc = r + 0.5
-            crossings_by_row.setdefault(r, []).append(x0 + (yc - y0) * inv * (x1 - x0))
-    spans = []  # (row, first column, end column) of each covered run
-    for r, xs in crossings_by_row.items():
-        xs.sort()
-        for j in range(0, len(xs) - 1, 2):
-            c0 = max(math.ceil(xs[j] - 0.5), 0)
-            c1 = min(math.ceil(xs[j + 1] - 0.5), width)
-            if c1 > c0:
-                spans.append((r, c0, c1))
-    if not spans:
+    # row r's centre r + 0.5 crosses an edge when exactly one of its ends has
+    # ceil(y - 0.5) <= r, so every row crosses an even number of edges; the
+    # bounds check keeps these ceilings in [0, height], and those of x in [0, width]
+    v = p.vertices
+    (x0, y0), (x1, y1) = v.T, np.concatenate([v[1:], v[:1]]).T
+    r0, r1 = np.ceil(y0 - 0.5).astype(np.int64), np.ceil(y1 - 0.5).astype(np.int64)
+    count = np.abs(r1 - r0)  # the rows each edge crosses
+    edge = np.repeat(np.arange(len(count)), count)
+    row = np.arange(len(edge)) + (np.minimum(r0, r1) + count - np.cumsum(count))[edge]
+    xs = x0[edge] + (row + 0.5 - y0[edge]) * (1.0 / (y1 - y0)[edge]) * (x1 - x0)[edge]
+    order = np.lexsort((xs, row))  # pair each row's crossings left to right
+    cols = np.ceil(xs[order] - 0.5).astype(np.int64)
+    row, c0, c1 = row[order][::2], cols[::2], cols[1::2]
+    run = c1 > c0  # the pixels c0 <= c < c1 of the row are set
+    row, c0, c1 = row[run], c0[run], c1[run]
+    if not row.size:
         return BitMask.empty(width, height)
-    r_lo = min(s[0] for s in spans)
-    c_lo = min(s[1] for s in spans)
-    crop = np.zeros((max(s[0] for s in spans) + 1 - r_lo,
-                     max(s[2] for s in spans) - c_lo), bool)
-    for r, c0, c1 in spans:
-        crop[r - r_lo, c0 - c_lo:c1 - c_lo] = True
+    r_lo, c_lo = int(row[0]), int(c0.min())
+    w = int(c1.max()) - c_lo
+    # +1 where a run starts and -1 where it ends, in row-major order
+    steps = np.zeros((int(row[-1]) + 1 - r_lo) * w + 1, np.int8)
+    at = (row - r_lo) * w - c_lo
+    steps[at + c0] = 1
+    steps[at + c1] -= 1
+    crop = (np.cumsum(steps[:-1], dtype=np.int8) > 0).reshape(-1, w)
     return BitMask.from_crop(width, height, c_lo, r_lo, crop)

@@ -2,10 +2,12 @@
 
 The oracles here deliberately avoid the library code paths they check:
 convolution is a plain quadruple loop, pooling enumerates bin membership per
-pixel, point-in-polygon is a local crossing-number routine, polygon
-intersection clips convex trapezoid pieces pairwise (Sutherland-Hodgman), a
-tensor payload is written value by value through the generic canonical JSON
-emitter, and blobs are built by stamping shapes, with holes filled by scipy.
+pixel, point-in-polygon is a local crossing-number routine, rasterization
+walks one edge and one row at a time, the shoelace area adds one vertex's
+term at a time, polygon intersection clips convex trapezoid pieces pairwise
+(Sutherland-Hodgman), a tensor payload is written value by value through the
+generic canonical JSON emitter, and blobs are built by stamping shapes, with
+holes filled by scipy.
 The instance-attention stages are run one instance and one head at a time
 into preallocated buffers, on the same kernels, so the batched stages must
 match them byte for byte.
@@ -14,7 +16,6 @@ match them byte for byte.
 import hashlib
 import math
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -110,18 +111,49 @@ def points_in_polygon(xs, ys, vertices):
     return inside
 
 
+def row_rasterize(p: Polygon, width: int, height: int) -> BitMask:
+    """Even-odd pixel centres of a polygon inside the canvas, one edge and one
+    row at a time: each edge's crossing x with the row centres r + 0.5 in its
+    [ceil(ylo - 0.5), ceil(yhi - 0.5)) rows, sorted per row and paired."""
+    crossings_by_row = {}
+    verts = p.vertices.tolist()
+    n = len(verts)
+    for i in range(n):
+        x0, y0 = verts[i]
+        x1, y1 = verts[(i + 1) % n]
+        if y0 == y1:
+            continue
+        ylo, yhi = (y0, y1) if y0 < y1 else (y1, y0)
+        inv = 1.0 / (y1 - y0)
+        for r in range(max(math.ceil(ylo - 0.5), 0), min(math.ceil(yhi - 0.5), height)):
+            crossings_by_row.setdefault(r, []).append(x0 + (r + 0.5 - y0) * inv * (x1 - x0))
+    bits = np.zeros((height, width), bool)
+    for r, xs in crossings_by_row.items():
+        xs.sort()
+        for j in range(0, len(xs) - 1, 2):
+            bits[r, max(math.ceil(xs[j] - 0.5), 0):min(math.ceil(xs[j + 1] - 0.5), width)] = True
+    return BitMask.from_array(bits)
+
+
 # ---------------------------------------------------------------------------
 # polygon intersection by convex clipping
 
 
 def shoelace(vertices):
+    """Signed area of a vertex list, its terms summed one at a time in
+    vertex order. Fraction vertices sum exactly."""
+    acc = 0
     n = len(vertices)
-    return sum(vertices[i][0] * vertices[(i + 1) % n][1] - vertices[(i + 1) % n][0] * vertices[i][1]
-               for i in range(n)) / 2.0
+    for i in range(n):
+        x0, y0 = vertices[i]
+        x1, y1 = vertices[(i + 1) % n]
+        acc += x0 * y1 - x1 * y0
+    return acc / 2.0
 
 
-def is_convex(p: Polygon) -> bool:
-    verts = p.vertices
+def is_convex(verts) -> bool:
+    """Whether a counter-clockwise vertex list turns left or goes straight
+    at every vertex."""
     n = len(verts)
     for i in range(n):
         ax, ay = verts[i - 1]
@@ -187,16 +219,15 @@ def _clean_piece(verts):
     return pts
 
 
-def _convex_pieces(p: Polygon):
-    """Decompose the even-odd region of a polygon into convex trapezoids.
+def _convex_pieces(verts):
+    """Decompose the even-odd region of a vertex list into convex trapezoids.
 
     Bands between consecutive distinct vertex y-levels are cut by the active
     edges; pairs of crossings bound one trapezoid each. Robust for weakly
     simple polygons (mask contours with pinch points).
     """
-    if is_convex(p):
-        return [list(p.vertices)]
-    verts = p.vertices
+    if is_convex(verts):
+        return [verts]
     n = len(verts)
     edges = []
     for i in range(n):
@@ -223,8 +254,8 @@ def _convex_pieces(p: Polygon):
     return pieces
 
 
-def polygon_intersection(a: Polygon, b: Polygon) -> list[Polygon]:
-    """Intersection region of two polygons as a list of disjoint pieces.
+def polygon_intersection(a, b) -> list[Polygon]:
+    """Intersection region of two vertex lists as a list of disjoint pieces.
 
     Both operands are cut into convex pieces (a convex polygon is its own
     single piece) and all cross pairs are clipped, so the returned pieces
@@ -239,15 +270,16 @@ def polygon_intersection(a: Polygon, b: Polygon) -> list[Polygon]:
     return out
 
 
-def oracle_intersection_area(a, b, exact=False):
-    """Summed area of the clipped pieces. With ``exact`` the clipping runs in
-    rational arithmetic (slow), so only the pieces' float vertices round;
-    in floats, clipping near-parallel edges can be off by 1e-12 or divide by
-    zero. Axis-parallel edges on dyadic coordinates clip exactly in floats."""
+def oracle_intersection_area(a: Polygon, b: Polygon, exact=False):
+    """Summed area of the clipped pieces. The clipper reads Python floats,
+    so that a division by zero raises; with ``exact`` it runs in rational
+    arithmetic (slow), so only the pieces' float vertices round. In floats,
+    clipping near-parallel edges can be off by 1e-12 or divide by zero.
+    Axis-parallel edges on dyadic coordinates clip exactly in floats."""
+    a, b = a.vertices.tolist(), b.vertices.tolist()
     if exact:
-        a, b = (SimpleNamespace(vertices=tuple((Fraction(x), Fraction(y)) for x, y in p.vertices))
-                for p in (a, b))
-    return sum(shoelace(p.vertices) for p in polygon_intersection(a, b))
+        a, b = ([(Fraction(x), Fraction(y)) for x, y in p] for p in (a, b))
+    return sum(shoelace(p.vertices.tolist()) for p in polygon_intersection(a, b))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from textdetkit import formats, instance_attention, multipath
 from textdetkit.cli import main
 from textdetkit.evaluate import GroundTruthSet, compute_metrics, match_detections
-from textdetkit.geometry import BitMask, mask_to_polygons
+from textdetkit.geometry import BitMask, Polygon, mask_to_polygons
 from textdetkit.pseudolabel import FusionConfig, ScoredDetection, fuse_detections
 from textdetkit.suppress import DetectionSet, SuppressConfig, multi_scale_aggregate
 
@@ -277,6 +277,16 @@ class TestMalformedInputs:
         path.write_text(json.dumps(doc))
         return str(path)
 
+    @pytest.mark.parametrize("field, value", [("imageId", {"a": 1}), ("imageId", 7),
+                                              ("sourceTag", ["m"]), ("sourceTag", None)])
+    def test_non_string_header_nms_exit_2(self, tmp_path, capsys, field, value):
+        doc = {"schemaVersion": "1", "imageId": "img", "imageWidth": CANVAS,
+               "imageHeight": CANVAS, "sourceTag": "m", "scaleFactor": 1.0, "detections": []}
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps({**doc, field: value}))
+        assert main(["nms", "--in", str(src), "--out", str(tmp_path / "o.json")]) == 2
+        assert f"{field} must be a JSON string" in capsys.readouterr().err
+
     @pytest.mark.parametrize("scale", ["abc", None, [1], True, 0, -1.5,
                                        float("nan"), float("inf")])
     def test_bad_scale_factor_nms_exit_2(self, tmp_path, capsys, scale):
@@ -520,6 +530,20 @@ class TestEval:
         assert report["precision"] == 0.0
         assert report["fMeasure"] == 0.0
         assert "precision" in report["flags"]
+
+    def test_frame_size_mismatch_exit_2(self, tmp_path, capsys):
+        # the same imageId, but a 64 x 64 ground truth against 32 x 32 detections
+        gt_path, det_path = tmp_path / "gt.json", tmp_path / "det.json"
+        square = Polygon(((4, 4), (14, 4), (14, 14), (4, 14)))
+        formats.save_ground_truth_file(gt_path, GroundTruthSet("img", [square], [False],
+                                                               image_width=64, image_height=64))
+        bits = np.zeros((32, 32), dtype=bool)
+        bits[4:14, 4:14] = True
+        formats.save_detection_file(det_path, DetectionSet(
+            "img", [ScoredDetection.from_mask(BitMask.from_array(bits), 0.9)],
+            image_width=32, image_height=32))
+        assert main(["eval", "--gt", str(gt_path), "--det", str(det_path)]) == 2
+        assert "disagree on image dimensions" in capsys.readouterr().err
 
 
 # Module config values that only look like the right JSON type. Each used to

@@ -299,8 +299,8 @@ class TestAgainstFullFrame:
     @example(OVERLAPPING_BOXES)
     @example(PINCH_CHAIN)
     def test_mask_to_polygons(self, bits):
-        got = [p.vertices for p in mask_to_polygons(BitMask.from_array(bits))]
-        assert got == [p.vertices for p in oracle_mask_to_polygons(bits)]
+        got = [p.vertices.tolist() for p in mask_to_polygons(BitMask.from_array(bits))]
+        assert got == [p.vertices.tolist() for p in oracle_mask_to_polygons(bits)]
 
     def test_mask_to_polygons_large_frames(self):
         # frames up to 60 x 60, beyond the 10 x 10 that hypothesis draws:
@@ -314,5 +314,5 @@ class TestAgainstFullFrame:
                 y0, y1 = np.sort(rng.integers(0, height + 1, size=2))
                 x0, x1 = np.sort(rng.integers(0, width + 1, size=2))
                 bits[y0:y1, x0:x1] ^= True
-            got = [p.vertices for p in mask_to_polygons(BitMask.from_array(bits))]
-            assert got == [p.vertices for p in oracle_mask_to_polygons(bits)]
+            got = [p.vertices.tolist() for p in mask_to_polygons(BitMask.from_array(bits))]
+            assert got == [p.vertices.tolist() for p in oracle_mask_to_polygons(bits)]

@@ -29,6 +29,17 @@ _DET = {"box": [0.0, 0.0, 4.0, 4.0], "score": 0.5, "polygon": _SQUARE}
 _LABEL = {"box": [0.0, 0.0, 4.0, 4.0], "weight": 0.5, "polygon": _SQUARE}
 
 
+_BIG = [1e17, np.nextafter(1e17, 0), np.nextafter(1e17, np.inf), 2.0**53, 2.0**53 + 2,
+        np.finfo(np.float64).max, np.finfo(np.float64).tiny, 5e-324, 1e-5, 0.5]
+# the edge cases of the ".0" rule, integral values and arbitrary finite doubles
+# (subnormals among them), each sign
+_PAYLOAD_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0] + _BIG + [-x for x in _BIG]),
+    st.integers(-2**62, 2**62).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-10, 10))
+
+
 class TestCanonicalJson:
     def test_floats_round_trip_exactly(self, rng):
         for _ in range(200):
@@ -63,12 +74,36 @@ class TestCanonicalJson:
         assert formats.dumps_canonical({1: True, None: [], 2.5: {}}) == \
             '{"1":true,"None":[],"2.5":{}}'
 
-    @pytest.mark.parametrize("value", [{1, 2}, np.zeros(2), np.bool_(True), [np.bool_(False)],
-                                       {"k": object()}],
-                             ids=["set", "ndarray", "np.bool_", "nested np.bool_", "object"])
+    @pytest.mark.parametrize("value", [{1, 2}, np.zeros(2, np.int64), np.bool_(True),
+                                       [np.bool_(False)], {"k": object()},
+                                       np.zeros(2, np.float32)],
+                             ids=["set", "ndarray", "np.bool_", "nested np.bool_", "object",
+                                  "float32 ndarray"])
     def test_other_types_rejected(self, value):
         with pytest.raises(TypeError, match="cannot serialize"):
             formats.dumps_canonical(value)
+
+    @pytest.mark.parametrize("array", [
+        np.array([-0.0, 1e16, 1e17, 5e-324, -1e16 - 2, 0.1, 3.0, -2.5e-300]),
+        np.array([-0.0, 1e16, 1e17, 5e-324, -1e16 - 2, 0.1, 3.0, -2.5e-300]).reshape(4, 2),
+        np.array([[1.0, -0.0, 1e17], [5e-324, 1e16, 7.25]]).T,  # not C-contiguous
+        np.array(-0.0), np.zeros((2, 1, 3)), np.zeros(0), np.zeros((0, 2)), np.zeros((2, 0)),
+    ], ids=["rank 1", "rank 2", "transposed", "rank 0", "rank 3", "empty", "no rows", "empty rows"])
+    def test_float64_arrays_write_as_their_lists(self, array):
+        assert formats.dumps_canonical(array) == formats.dumps_canonical(array.tolist())
+        assert formats.dumps_canonical({"a": [array]}) == \
+            formats.dumps_canonical({"a": [array.tolist()]})
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+                      elements=_PAYLOAD_VALUES))
+    def test_random_float64_arrays_write_as_their_lists(self, array):
+        assert formats.dumps_canonical(array) == formats.dumps_canonical(array.tolist())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_array_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            formats.dumps_canonical(np.array([[0.0, 1.0], [2.0, bad]]))
 
 
 class TestRle:
@@ -269,7 +304,7 @@ class TestGroundTruthFiles:
         loaded = formats.load_ground_truth_file(path)
         assert loaded.image_id == "img"
         assert loaded.ignore_flags == [False, True]
-        assert loaded.instances[0].vertices == gt.instances[0].vertices
+        assert loaded.instances[0].vertices.tolist() == gt.instances[0].vertices.tolist()
 
     @pytest.mark.parametrize("polygon, error", [
         ([[-1, -1], [9, -1], [9, 9]], None),  # the 1 px overhang is clamped
@@ -288,13 +323,15 @@ class TestGroundTruthFiles:
         # crosses, but the loop through (2, 1) winds twice: shoelace area 3.5,
         # even-odd area 4.5
         ([[2, 0], [0, 0], [2, 1], [1, 0], [4, 0], [2, 4]], "cross"),
+        pytest.param([[-1.5, 0], [4, 0], [4, 9]], r"extent \[-1\.5, 0\.0, 4\.0, 9\.0\] outside",
+                     id="extent printed as plain floats"),
     ])
     def test_polygon_points(self, tmp_path, polygon, error):
         path = tmp_path / "gt.json"
         path.write_text(json.dumps(_image_doc("instances", {"polygon": polygon})))
         if error is None:
             poly = formats.load_ground_truth_file(path).instances[0]
-            assert set(poly.vertices) == {(0.0, 0.0), (8.0, 0.0), (8.0, 8.0)}
+            assert set(map(tuple, poly.vertices.tolist())) == {(0.0, 0.0), (8.0, 0.0), (8.0, 8.0)}
         else:
             with pytest.raises(ParseError, match=error):
                 formats.load_ground_truth_file(path)
@@ -311,7 +348,8 @@ class TestGroundTruthFiles:
         path = tmp_path / "gt.json"
         path.write_text(json.dumps(_image_doc("instances", {"polygon": polygon})))
         poly = formats.load_ground_truth_file(path).instances[0]
-        assert sorted(poly.vertices) == sorted((float(x), float(y)) for x, y in polygon)
+        assert sorted(map(tuple, poly.vertices.tolist())) == \
+            sorted((float(x), float(y)) for x, y in polygon)
 
     def test_random_round_trips(self, tmp_path, rng):
         for case in range(10):
@@ -330,7 +368,7 @@ class TestGroundTruthFiles:
             loaded = formats.load_ground_truth_file(path)
             assert loaded.ignore_flags == flags
             for got, want in zip(loaded.instances, instances):
-                assert got.vertices == want.vertices
+                assert got.vertices.tolist() == want.vertices.tolist()
 
 
 class TestHeaderAndFlagTypes:
@@ -354,6 +392,16 @@ class TestHeaderAndFlagTypes:
          _image_doc("instances", {"polygon": _SQUARE, "ignore": 1}), "ignore"),
         (formats.load_ground_truth_file,
          _image_doc("instances", {"polygon": _SQUARE, "ignore": None}), "ignore"),
+        (formats.load_detection_file, _image_doc("detections", _DET, imageId={"a": 1}),
+         "imageId must be a JSON string"),
+        (formats.load_detection_file, _image_doc("detections", _DET, imageId=7),
+         "imageId must be a JSON string"),
+        (formats.load_ground_truth_file, _image_doc("instances", {"polygon": _SQUARE},
+                                                    imageId=None), "imageId must be a JSON string"),
+        (formats.load_detection_file, _image_doc("detections", _DET, sourceTag=["m"]),
+         "sourceTag must be a JSON string"),
+        (formats.load_weighted_label_file, _image_doc("labels", _LABEL, sourceTag=0),
+         "sourceTag must be a JSON string"),
     ])
     def test_loose_values_rejected(self, tmp_path, load, doc, match):
         path = tmp_path / "doc.json"
@@ -454,15 +502,6 @@ class TestWriterGoldenBytes:
         )
 
 
-_BIG = [1e17, np.nextafter(1e17, 0), np.nextafter(1e17, np.inf), 2.0**53, 2.0**53 + 2,
-        np.finfo(np.float64).max, np.finfo(np.float64).tiny, 5e-324, 1e-5, 0.5]
-# the edge cases of the ".0" rule, integral values and arbitrary finite doubles
-# (subnormals among them), each sign
-_PAYLOAD_VALUES = st.one_of(
-    st.sampled_from([0.0, -0.0] + _BIG + [-x for x in _BIG]),
-    st.integers(-2**62, 2**62).map(float),
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.floats(-10, 10))
 # quotes, backslashes and control characters, which JSON escapes, a few it
 # may write either way, and any others
 _NAME_CHARS = st.one_of(st.sampled_from('"\\/\n\t\x00\x7f\u2028\u00e9'), st.characters())
@@ -532,6 +571,14 @@ class TestTensorFiles:
         else:
             with pytest.raises(ParseError, match="checksum"):
                 formats.load_tensor_file(path)
+
+    def test_lone_surrogate_name_round_trips(self, tmp_path):
+        # a lone surrogate has no UTF-8 bytes, so the canonical text escapes it
+        assert formats.dumps_canonical({"\ud800é": 1}) == '{"\\ud800é":1}'
+        path = tmp_path / "t.json"
+        formats.save_tensor_file(path, {"w\udfff": np.ones(2)})
+        _, _, tensors = formats.load_tensor_file(path)
+        assert list(tensors) == ["w\udfff"] and tensors["w\udfff"].tolist() == [1.0, 1.0]
 
     def test_byte_identical_writes(self, tmp_path, rng):
         tensors = {"w": rng.normal(size=(2, 5))}

@@ -23,7 +23,8 @@ from textdetkit.geometry import (
     winds_once,
 )
 
-from conftest import is_convex, oracle_intersection_area, points_in_polygon, random_blob_mask
+from conftest import (is_convex, oracle_intersection_area, points_in_polygon, random_blob_mask,
+                      row_rasterize, shoelace)
 
 UNIT_SQUARE = Polygon(((0, 0), (1, 0), (1, 1), (0, 1)))
 
@@ -53,6 +54,23 @@ class TestPolygonBasics:
     def test_too_few_vertices_rejected(self):
         with pytest.raises(GeometryError):
             Polygon(((0, 0), (1, 0), (1, 0)))
+
+    def test_vertices_are_a_read_only_float64_array(self):
+        p = Polygon([(0, 0), (0, 2), (3, 2), (3, 2), (0, 0)])  # clockwise, closed, a repeat
+        assert p.vertices.dtype == np.float64 and p.vertices.shape == (3, 2)
+        assert p.vertices.tolist() == [[3.0, 2.0], [0.0, 2.0], [0.0, 0.0]]
+        with pytest.raises(ValueError):
+            p.vertices[0, 0] = 1.0
+
+    @pytest.mark.parametrize("vertices", [
+        ((0, 0, 9), (4, 0, 9), (4, 4, 9)),  # a triangle with a third coordinate
+        ((0, 0, 4), (0, 4, 4)),  # six numbers, not three pairs
+        (0, 0, 4, 0, 4, 4),
+        (((0, 0), (4, 0), (4, 4)),),
+    ])
+    def test_vertices_must_be_pairs(self, vertices):
+        with pytest.raises(GeometryError, match="pairs"):
+            Polygon(vertices)
 
     def test_area_matches_rasterization_oracle(self, rng):
         # 2000x2000 grid of sample points over the bounding box
@@ -159,7 +177,7 @@ class TestPolygonIntersection:
     def test_nonconvex_decomposition(self):
         # L-shape clipped by a square covering its notch corner
         ell = Polygon(((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)))
-        assert not is_convex(ell)
+        assert not is_convex(ell.vertices.tolist())
         square = Polygon(((0.5, 0.5), (1.5, 0.5), (1.5, 1.5), (0.5, 1.5)))
         assert abs(intersection_area(ell, square) - 0.75) <= 1e-9
 
@@ -413,7 +431,65 @@ class TestMaskToPolygons:
             assert np.array_equal(rebuilt, m.bits)
 
 
+@st.composite
+def raster_cases(draw):
+    """(polygon, width, height) on a small canvas. Vertices sit on pixel
+    edges, on row or column centres, on the border (also where a 1 px
+    overhang was clamped onto it, and 1e-9 beyond, as the bounds check
+    allows) or anywhere; repeated y values make horizontal edges."""
+    width, height = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+
+    def coords(size):
+        return st.one_of(st.integers(0, size).map(float),
+                         st.integers(0, size - 1).map(lambda k: k + 0.5),
+                         st.floats(-1.0, size + 1.0).map(lambda c: min(max(c, 0.0), size)),
+                         st.sampled_from((-1e-9, size + 1e-9)),
+                         st.floats(0.0, size))
+
+    ys = st.lists(coords(height), min_size=1, max_size=3)
+    pts = draw(st.lists(st.tuples(coords(width), st.sampled_from(draw(ys))),
+                        min_size=3, max_size=9))
+    try:
+        return Polygon(pts), width, height
+    except GeometryError:
+        return Polygon(((0, 0), (width, 0), (width, height))), width, height
+
+
+@st.composite
+def slivers(draw):
+    """(polygon, width, height) lying between two neighbouring row centres,
+    or two column centres, so that it covers no pixel centre."""
+    across, along = draw(st.integers(2, 9)), draw(st.integers(1, 9))
+    k = draw(st.integers(0, across - 2))
+    inside = st.floats(k + 0.5, k + 1.5, exclude_min=True, exclude_max=True)
+    pts = draw(st.lists(st.tuples(st.floats(0.0, along), inside), min_size=3, max_size=6))
+    if draw(st.booleans()):
+        pts, (across, along) = [(y, x) for x, y in pts], (along, across)
+    try:
+        return Polygon(pts), along, across
+    except GeometryError:
+        return Polygon(((0, 0.75), (along, 0.75), (0, 1.25))), along, 2
+
+
 class TestPolygonToMask:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(raster_cases(), slivers(), contours().map(lambda p: (p, 7, 7))))
+    @example((Polygon(((0, 0.5), (3, 0.5), (3, 2.5), (0, 2.5))), 3, 3))  # rows on the centres
+    @example((Polygon(((0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (1, 2), (1, 1), (0, 1))), 2, 2))
+    def test_matches_row_oracle(self, case):
+        p, width, height = case
+        assert polygon_to_mask(p, width, height) == row_rasterize(p, width, height)
+
+    @settings(max_examples=100, deadline=None)
+    @given(slivers())
+    def test_slivers_rasterize_empty(self, case):
+        assert polygon_to_mask(*case).is_empty()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(raster_cases().map(lambda c: c[0]), contours(), simple_polygons()))
+    def test_area_sums_in_vertex_order(self, p):
+        assert polygon_area(p) == shoelace(p.vertices.tolist())
+
     def test_unit_square_covers_pixel_centers(self):
         big = Polygon(((0, 0), (10, 0), (10, 10), (0, 10)))
         m = polygon_to_mask(big, 10, 10)
