@@ -85,6 +85,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _one_frame(docs, what: str) -> None:
+    """ParseError unless the documents one command reads share one frame size."""
+    dims = {(d.image_width, d.image_height) for d in docs}
+    if len(dims) != 1:
+        raise ParseError(f"{what} disagree on image dimensions: {sorted(dims)}")
+
+
 def cmd_fuse(args) -> int:
     cfg = FusionConfig(iou_threshold=args.iou_threshold, alpha=args.alpha,
                        iou_mode=args.iou_mode)
@@ -92,9 +99,7 @@ def cmd_fuse(args) -> int:
     ids = {s.image_id for s in sets}
     if len(ids) != 1:
         raise ImageIdMismatch(f"detection files describe different images: {sorted(ids)}")
-    dims = {(s.image_width, s.image_height) for s in sets}
-    if len(dims) != 1:
-        raise ParseError(f"detection files disagree on image dimensions: {sorted(dims)}")
+    _one_frame(sets, "detection files")
     outcome = fuse_detections(sets[0].detections, sets[1].detections,
                               sets[2].detections, cfg)
     formats.save_weighted_label_file(
@@ -112,9 +117,7 @@ def cmd_nms(args) -> int:
                          sigma=args.sigma, score_floor=args.score_floor,
                          iou_mode=args.iou_mode)
     sets = [formats.load_detection_file(p) for p in args.inputs]
-    dims = {(s.image_width, s.image_height) for s in sets}
-    if len(dims) != 1:
-        raise ParseError(f"detection files disagree on image dimensions: {sorted(dims)}")
+    _one_frame(sets, "detection files")
     total = sum(len(s.detections) for s in sets)
     merged = multi_scale_aggregate(sets, cfg)
     formats.save_detection_file(args.out, merged)
@@ -127,10 +130,7 @@ def cmd_eval(args) -> int:
     check_range("--iou", args.iou, 0.0, 1.0)
     gt = formats.load_ground_truth_file(args.gt)
     det = formats.load_detection_file(args.det)
-    dims = {(gt.image_width, gt.image_height), (det.image_width, det.image_height)}
-    if len(dims) != 1:
-        raise ParseError(f"ground truth and detections disagree on image dimensions: "
-                         f"{sorted(dims)}")
+    _one_frame([gt, det], "ground truth and detections")
     result = match_detections(gt, det, iou_thresh=args.iou)
     report = compute_metrics(result.matches, result.effective_gt,
                              result.effective_det, image_id=gt.image_id)
@@ -138,13 +138,7 @@ def cmd_eval(args) -> int:
         formats.write_canonical(args.report, {
             "schemaVersion": formats.SCHEMA_VERSION,
             "iouThreshold": args.iou,
-            "recall": report.recall,
-            "precision": report.precision,
-            "fMeasure": report.f_measure,
-            "truePositives": report.true_positives,
-            "gtCount": report.gt_count,
-            "detCount": report.det_count,
-            "flags": list(report.undefined),
+            **report.summary(),
             "matchedPairs": [
                 {"imageId": img, "gt": g, "det": d, "iou": iou}
                 for img, g, d, iou in report.matched_pairs

@@ -15,14 +15,15 @@ from dataclasses import dataclass, field
 
 from scipy import ndimage
 
-from .errors import ImageIdMismatch
-from .geometry import BitMask, Polygon, intersection_area, mask_to_polygons, polygon_area
+from .errors import GeometryError, ImageIdMismatch
+from .geometry import (BitMask, Polygon, intersection_area, mask_to_polygons, polygon_area,
+                       winds_once)
 from .suppress import DetectionSet
 
 
 @dataclass
 class GroundTruthSet:
-    """Polygon instances of one image plus their don't-care flags."""
+    """Polygon instances of one image, each winding once, and don't-care flags."""
 
     image_id: str
     instances: list
@@ -35,6 +36,11 @@ class GroundTruthSet:
             raise ValueError(
                 f"{len(self.instances)} instances vs {len(self.ignore_flags)} ignore flags"
             )
+        for k, poly in enumerate(self.instances):
+            # where the boundary winds twice or clockwise, the shoelace area
+            # disagrees with the region it rasterizes to, so IoU would be wrong
+            if not winds_once(poly):
+                raise GeometryError(f"instance {k}: polygon boundary crosses itself")
 
 
 @dataclass
@@ -68,6 +74,18 @@ class EvalReport:
     true_positives: int = 0
     gt_count: int = 0
     det_count: int = 0
+
+    def summary(self) -> dict:
+        """The fields the CLI report shares with each per-image entry, in file order."""
+        return {
+            "recall": self.recall,
+            "precision": self.precision,
+            "fMeasure": self.f_measure,
+            "truePositives": self.true_positives,
+            "gtCount": self.gt_count,
+            "detCount": self.det_count,
+            "flags": list(self.undefined),
+        }
 
 
 def region_iou(gt_poly: Polygon, det_polys) -> float:
@@ -195,13 +213,7 @@ def evaluate(gt_sets, det_sets, iou_thresh: float = 0.5) -> EvalReport:
             result.matches, result.effective_gt, result.effective_det, image_id
         )
         per_image[image_id] = {
-            "recall": image_report.recall,
-            "precision": image_report.precision,
-            "fMeasure": image_report.f_measure,
-            "truePositives": image_report.true_positives,
-            "gtCount": image_report.gt_count,
-            "detCount": image_report.det_count,
-            "flags": list(image_report.undefined),
+            **image_report.summary(),
             "matches": [[g, d, iou] for g, d, iou in result.matches],
         }
         all_pairs.extend(image_report.matched_pairs)

@@ -25,14 +25,15 @@ import numpy as np
 
 from .errors import ParseError, _json_int, _json_str
 from .evaluate import GroundTruthSet
-from .geometry import (OVERHANG_TOL, AxisBox, BitMask, Polygon, mask_to_polygons,
-                       polygon_to_mask, winds_once)
+from .geometry import OVERHANG_TOL, AxisBox, BitMask, Polygon, mask_to_polygons, polygon_to_mask
 from .pseudolabel import PseudoLabel, ScoredDetection
 from .suppress import DetectionSet
 
 SCHEMA_VERSION = "1"
-# the largest frame, in pixels, that a file may declare: masks and rasters
-# are sized by the frame, so a larger one is refused before any is allocated
+# the largest frame, in pixels, that a file may declare, and the most pixels
+# that the mask crops of one file may decode to: each crop is at most a frame,
+# so a larger frame is refused before any is allocated, and a file stops
+# decoding once its crops pass this total
 MAX_PIXELS = 2**28
 
 
@@ -248,6 +249,30 @@ def _read_image_doc(path, list_key):
     return doc, image_id, width, height, records
 
 
+def _build(path, record_type, *args):
+    """``record_type(*args)``; the ValueError of a rule it checks becomes a ParseError."""
+    try:
+        return record_type(*args)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+def _pixel_budget(path):
+    """A function that charges a decoded mask's crop to the file's total of
+    MAX_PIXELS and returns the mask: a run-length mask or a polygon of a few
+    bytes can decode to a crop the size of its frame."""
+    left = MAX_PIXELS
+
+    def charge(mask: BitMask) -> BitMask:
+        nonlocal left
+        left -= mask.crop.size
+        if left < 0:
+            raise ParseError(f"{path}: mask crops exceed {MAX_PIXELS} pixels in total")
+        return mask
+
+    return charge
+
+
 def _check_in_frame(what, coords, width, height, path) -> None:
     """``coords`` [xmin, ymin, xmax, ymax] may overhang the canvas by 1 px;
     NaN is never in frame."""
@@ -264,10 +289,7 @@ def _box_from_json(raw, width, height, path) -> AxisBox:
         raise ParseError(f"{path}: box must be a list of 4 numbers, got {raw!r}")
     vals = _json_numbers(raw, f"{path}: box coordinates").tolist()
     _check_in_frame("box", vals, width, height, path)
-    try:
-        return AxisBox(*vals)
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    return _build(path, AxisBox, *vals)
 
 
 def _polygon_from_json(raw, width, height, path) -> Polygon:
@@ -280,13 +302,11 @@ def _polygon_from_json(raw, width, height, path) -> Polygon:
     extent = np.fmin.reduce(pts).tolist() + np.fmax.reduce(pts).tolist()
     _check_in_frame("polygon extent", extent, width, height, path)
     # clamp the permitted 1 px overhang onto the canvas for rasterization
-    try:
-        return Polygon(np.clip(pts, 0.0, (float(width), float(height))))
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    return _build(path, Polygon, np.clip(pts, 0.0, (float(width), float(height))))
 
 
-def _mask_from_record(record, width, height, path) -> BitMask:
+def _mask_from_record(record, width, height, path, charge) -> BitMask:
+    """The record's mask; each crop decoded for it goes through ``charge``."""
     if "mask" in record:
         mask = rle_decode(record["mask"])
         if (mask.width, mask.height) != (width, height):
@@ -294,13 +314,13 @@ def _mask_from_record(record, width, height, path) -> BitMask:
                 f"{path}: mask dimensions {mask.width}x{mask.height} != "
                 f"image {width}x{height}"
             )
-        return mask
+        return charge(mask)
     polys = record.get("polygons")
     if polys is None and "polygon" in record:
         polys = [record["polygon"]]
     if not polys or not isinstance(polys, list):
         raise ParseError(f"{path}: record carries neither a mask nor a list of polygons")
-    masks = [polygon_to_mask(_polygon_from_json(raw, width, height, path), width, height)
+    masks = [charge(polygon_to_mask(_polygon_from_json(raw, width, height, path), width, height))
              for raw in polys]
     pieces = [m for m in masks if not m.is_empty()] or masks[:1]
     if len(pieces) == 1:
@@ -312,7 +332,7 @@ def _mask_from_record(record, width, height, path) -> BitMask:
     bits = np.zeros((y1 - y0, x1 - x0), dtype=bool)
     for m, (mx0, my0, mx1, my1) in zip(pieces, boxes):
         bits[my0 - y0:my1 - y0, mx0 - x0:mx1 - x0] |= m.crop
-    return BitMask.from_crop(width, height, x0, y0, bits)
+    return charge(BitMask.from_crop(width, height, x0, y0, bits))
 
 
 def _scored_record(item, value_key: str, value: float) -> dict:
@@ -320,18 +340,20 @@ def _scored_record(item, value_key: str, value: float) -> dict:
             value_key: value, "mask": rle_encode(item.mask)}
 
 
-def _read_scored_records(path, list_key: str, value_key: str):
-    """Returns (doc, image_id, width, height, [(value, box, mask), ...]), where
-    each value is a JSON number in [0, 1]."""
+def _read_scored_records(path, list_key: str, record_type, value_key: str):
+    """Returns (doc, image_id, width, height, items), each item built as
+    ``record_type(mask, box, value)``, where the value is a JSON number."""
     doc, image_id, width, height, records = _read_image_doc(path, list_key)
-    rows = []
+    charge = _pixel_budget(path)
+    items = []
     for record in records:
         value = record.get(value_key)
-        if type(value) not in (int, float) or not 0.0 <= value <= 1.0:
-            raise ParseError(f"{path}: {value_key} must be a number in [0, 1], got {value!r}")
-        rows.append((float(value), _box_from_json(record.get("box"), width, height, path),
-                     _mask_from_record(record, width, height, path)))
-    return doc, image_id, width, height, rows
+        if type(value) not in (int, float):
+            raise ParseError(f"{path}: {value_key} must be a JSON number, got {value!r}")
+        box = _box_from_json(record.get("box"), width, height, path)
+        mask = _mask_from_record(record, width, height, path, charge)
+        items.append(_build(path, record_type, mask, box, value))
+    return doc, image_id, width, height, items
 
 
 # ---------------------------------------------------------------------------
@@ -347,15 +369,8 @@ def save_detection_file(path, det_set: DetectionSet) -> None:
 
 
 def load_detection_file(path) -> DetectionSet:
-    doc, image_id, width, height, rows = _read_scored_records(path, "detections", "score")
-    detections = []
-    for score, box, mask in rows:
-        det = ScoredDetection(mask=mask, box=box, score=score)
-        try:
-            det.validate()
-        except ValueError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-        detections.append(det)
+    doc, image_id, width, height, detections = _read_scored_records(
+        path, "detections", ScoredDetection, "score")
     scale = doc.get("scaleFactor", 1.0)
     # an integer above the largest double would overflow float()
     if type(scale) not in (int, float) or not 0.0 < scale <= sys.float_info.max:
@@ -391,10 +406,11 @@ def save_weighted_label_file(path, labels, image_id: str, width: int, height: in
 
 
 def load_weighted_label_file(path) -> WeightedLabelSet:
-    doc, image_id, width, height, rows = _read_scored_records(path, "labels", "weight")
+    doc, image_id, width, height, labels = _read_scored_records(
+        path, "labels", PseudoLabel, "weight")
     return WeightedLabelSet(
         image_id=image_id,
-        labels=[PseudoLabel(mask=mask, box=box, weight=weight) for weight, box, mask in rows],
+        labels=labels,
         source_tag=_json_str(doc.get("sourceTag", ""), f"{path}: sourceTag"),
         image_width=width,
         image_height=height,
@@ -415,19 +431,13 @@ def save_ground_truth_file(path, gt: GroundTruthSet) -> None:
 def load_ground_truth_file(path) -> GroundTruthSet:
     _, image_id, width, height, records = _read_image_doc(path, "instances")
     instances, flags = [], []
-    for k, record in enumerate(records):
-        poly = _polygon_from_json(record.get("polygon"), width, height, path)
-        # where the boundary winds twice or clockwise, the shoelace area
-        # disagrees with the region it rasterizes to, so IoU would be wrong
-        if not winds_once(poly):
-            raise ParseError(f"{path}: instance {k}: polygon boundary crosses itself")
-        instances.append(poly)
+    for record in records:
+        instances.append(_polygon_from_json(record.get("polygon"), width, height, path))
         ignore = record.get("ignore", False)
         if type(ignore) is not bool:
             raise ParseError(f"{path}: 'ignore' must be true or false, got {ignore!r}")
         flags.append(ignore)
-    return GroundTruthSet(image_id=image_id, instances=instances, ignore_flags=flags,
-                          image_width=width, image_height=height)
+    return _build(path, GroundTruthSet, image_id, instances, flags, width, height)
 
 
 # ---------------------------------------------------------------------------

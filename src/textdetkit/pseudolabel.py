@@ -30,18 +30,32 @@ from .geometry import OVERHANG_TOL, AxisBox, BitMask, iou_box, iou_mask, shared_
 IOU_MODES = ("mask", "box")
 
 
+def _check_box(mask: BitMask, box: AxisBox) -> None:
+    """ValueError unless the box encloses the mask's foreground box within 1 px."""
+    fg = mask.foreground_box()
+    if fg is None:
+        return
+    tol = OVERHANG_TOL
+    if (box.xmin > fg.xmin + tol or box.ymin > fg.ymin + tol
+            or box.xmax < fg.xmax - tol or box.ymax < fg.ymax - tol):
+        raise ValueError(
+            f"box {box.as_tuple()} does not enclose mask foreground {fg.as_tuple()} within 1 px"
+        )
+
+
 @dataclass(eq=False)
 class ScoredDetection:
-    """One detection: mask, bounding box, confidence score in [0, 1]."""
+    """One detection: mask, a box enclosing it within 1 px, score in [0, 1]."""
 
     mask: BitMask
     box: AxisBox
     score: float
 
     def __post_init__(self):
-        self.score = float(self.score)
-        if not 0.0 <= self.score <= 1.0:
+        if not 0.0 <= self.score <= 1.0:  # before float(), which overflows on 10**400
             raise ValueError(f"score must be in [0, 1], got {self.score}")
+        self.score = float(self.score)
+        _check_box(self.mask, self.box)
 
     @classmethod
     def from_mask(cls, mask: BitMask, score: float) -> "ScoredDetection":
@@ -51,32 +65,20 @@ class ScoredDetection:
             raise ValueError("cannot derive a box from an empty mask")
         return cls(mask=mask, box=box, score=score)
 
-    def validate(self) -> None:
-        """Check the box encloses the mask's foreground box within 1 px."""
-        fg = self.mask.foreground_box()
-        if fg is None:
-            return
-        tol = OVERHANG_TOL
-        if (self.box.xmin > fg.xmin + tol or self.box.ymin > fg.ymin + tol
-                or self.box.xmax < fg.xmax - tol or self.box.ymax < fg.ymax - tol):
-            raise ValueError(
-                f"box {self.box.as_tuple()} does not enclose mask foreground "
-                f"{fg.as_tuple()} within 1 px"
-            )
-
 
 @dataclass(eq=False)
 class PseudoLabel:
-    """Fused label: mask, box, and the loss weight it carries into training."""
+    """Fused label: mask, a box enclosing it within 1 px, loss weight in [0, 1]."""
 
     mask: BitMask
     box: AxisBox
     weight: float
 
     def __post_init__(self):
-        self.weight = float(self.weight)
-        if not 0.0 <= self.weight <= 1.0:
+        if not 0.0 <= self.weight <= 1.0:  # before float(), which overflows on 10**400
             raise ValueError(f"weight must be in [0, 1], got {self.weight}")
+        self.weight = float(self.weight)
+        _check_box(self.mask, self.box)
 
 
 @dataclass

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from textdetkit.errors import ImageIdMismatch
+from textdetkit.errors import GeometryError, ImageIdMismatch
 from textdetkit.evaluate import (
     GroundTruthSet,
     compute_metrics,
@@ -273,6 +273,13 @@ class TestCorpusEvaluate:
         dets = [det_set([], image_id="b")]
         with pytest.raises(ImageIdMismatch):
             evaluate(gts, dets)
+
+
+class TestGroundTruthSet:
+    def test_crossing_polygon_rejected_when_built(self):
+        bow_tie = Polygon(((0, 0), (6, 6), (6, 0), (0, 2)))
+        with pytest.raises(GeometryError, match="instance 1: polygon boundary crosses itself"):
+            gt_set([square_poly(10, 10, 4), bow_tie])
 
 
 class TestRegionIou:

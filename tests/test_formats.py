@@ -290,6 +290,72 @@ class TestWeightedLabelFiles:
         assert doc["labels"][0]["mask"]["counts"]
 
 
+def _square_record(value_key, value, box):
+    """A record whose mask is the 10 x 10 square at (20, 20) of a 40 x 40 frame."""
+    bits = np.zeros((40, 40), bool)
+    bits[20:30, 20:30] = True
+    return {"box": box, value_key: value, "mask": formats.rle_encode(BitMask.from_array(bits))}
+
+
+@pytest.mark.parametrize("load, list_key, value_key", [
+    (formats.load_detection_file, "detections", "score"),
+    (formats.load_weighted_label_file, "labels", "weight")], ids=["detection", "label"])
+class TestRecordRules:
+    """The rules that the record types check when built hold in files too."""
+
+    def _load(self, tmp_path, load, list_key, record):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(_image_doc(list_key, record, imageWidth=40, imageHeight=40)))
+        return load(path)
+
+    def test_box_must_enclose_mask(self, tmp_path, load, list_key, value_key):
+        record = _square_record(value_key, 0.5, [0.0, 0.0, 4.0, 4.0])
+        with pytest.raises(ParseError, match="does not enclose"):
+            self._load(tmp_path, load, list_key, record)
+
+    def test_value_too_large_for_a_double(self, tmp_path, load, list_key, value_key):
+        record = _square_record(value_key, 10**400, [20.0, 20.0, 30.0, 30.0])
+        with pytest.raises(ParseError, match=value_key):
+            self._load(tmp_path, load, list_key, record)
+
+
+class TestPixelBudget:
+    """The crops that one file's masks decode to count toward one total of
+    MAX_PIXELS, here 64 x 64, the size of the frame."""
+
+    FRAME = [[0, 0], [64, 0], [64, 64], [0, 64]]
+
+    @pytest.fixture(autouse=True)
+    def small_budget(self, monkeypatch):
+        monkeypatch.setattr(formats, "MAX_PIXELS", 64 * 64)
+
+    def _load(self, tmp_path, records):
+        path = tmp_path / "det.json"
+        path.write_text(json.dumps({"schemaVersion": "1", "imageId": "img", "imageWidth": 64,
+                                    "imageHeight": 64, "detections": records}))
+        return formats.load_detection_file(path)
+
+    def test_rle_masks(self, tmp_path):
+        full = {"box": [0, 0, 64, 64], "score": 0.5,
+                "mask": {"width": 64, "height": 64, "counts": [0, 64 * 64]}}
+        corner = {"box": [0, 0, 1, 1], "score": 0.5,
+                  "mask": {"width": 64, "height": 64, "counts": [0, 1, 64 * 64 - 1]}}
+        assert len(self._load(tmp_path, [full]).detections) == 1  # the whole budget
+        with pytest.raises(ParseError, match="in total"):
+            self._load(tmp_path, [full, corner])
+
+    def test_multi_polygon_records(self, tmp_path):
+        record = {"box": [0, 0, 64, 64], "score": 0.5, "polygons": [self.FRAME]}
+        assert len(self._load(tmp_path, [record]).detections) == 1
+        # the second raster of the frame passes the total
+        with pytest.raises(ParseError, match="in total"):
+            self._load(tmp_path, [{**record, "polygons": [self.FRAME, self.FRAME]}])
+        # two 1 px pieces in opposite corners, united in a crop of the frame
+        corners = [[[0, 0], [1, 0], [1, 1], [0, 1]], [[63, 63], [64, 63], [64, 64], [63, 64]]]
+        with pytest.raises(ParseError, match="in total"):
+            self._load(tmp_path, [{**record, "polygons": corners}])
+
+
 class TestGroundTruthFiles:
     def test_round_trip(self, tmp_path):
         gt = GroundTruthSet(

@@ -312,10 +312,18 @@ class TestTypeInvariants:
 
     def test_box_encloses_mask_validation(self, rng):
         m = random_blob_mask(rng, 16, 16)
-        det = ScoredDetection(mask=m, box=AxisBox(0, 0, 0.5, 0.5), score=0.5)
         fg = m.foreground_box()
         if fg.xmax > 1.5 or fg.ymax > 1.5:
             with pytest.raises(ValueError):
-                det.validate()
-        ok = ScoredDetection.from_mask(m, 0.5)
-        ok.validate()
+                ScoredDetection(mask=m, box=AxisBox(0, 0, 0.5, 0.5), score=0.5)
+        ScoredDetection.from_mask(m, 0.5)
+
+    @pytest.mark.parametrize("record_type", [ScoredDetection, PseudoLabel])
+    def test_box_must_enclose_mask_when_built(self, record_type):
+        bits = np.zeros((40, 40), bool)
+        bits[20:30, 20:30] = True
+        mask = BitMask.from_array(bits)
+        record_type(mask, AxisBox(21, 21, 29, 29), 0.5)  # 1 px short on each side
+        for box in (AxisBox(0, 0, 4, 4), AxisBox(21.5, 20, 30, 30)):
+            with pytest.raises(ValueError, match="does not enclose"):
+                record_type(mask, box, 0.5)
