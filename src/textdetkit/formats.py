@@ -15,6 +15,7 @@ mask when both are present (polygons cannot represent holes).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -117,12 +118,26 @@ def write_canonical(path, obj) -> None:
         fh.write("\n")
 
 
-def read_json(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+def _reads_file(read):
+    """``read(path)`` with any fault of the file raised as a ParseError that
+    names it: what a reader does depends only on the file's bytes, so each
+    ValueError (a record rule, JSON syntax, an integer over Python's digit
+    limit), RecursionError (deep nesting) and OSError is the file's fault."""
+    @functools.wraps(read)
+    def reader(path):
+        try:
+            return read(path)
+        except (ValueError, RecursionError, OSError) as exc:
+            raise ParseError(f"{path}: {exc}") from exc
+    return reader
+
+
+def _load_json(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+read_json = _reads_file(_load_json)
 
 
 def _check_frame(width: int, height: int, what: str) -> None:
@@ -132,12 +147,12 @@ def _check_frame(width: int, height: int, what: str) -> None:
         raise ParseError(f"{what} of {width}x{height} exceeds {MAX_PIXELS} pixels")
 
 
-def _check_schema(doc, path) -> None:
+def _check_schema(doc) -> None:
     if not isinstance(doc, dict):
-        raise ParseError(f"{path}: top-level value must be an object")
+        raise ParseError("top-level value must be an object")
     version = doc.get("schemaVersion")
     if version != SCHEMA_VERSION:
-        raise ParseError(f"{path}: unrecognized schemaVersion {version!r}")
+        raise ParseError(f"unrecognized schemaVersion {version!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +211,7 @@ def rle_decode(obj) -> BitMask:
     if min(counts, default=0) < 0:
         raise ParseError(f"RLE count must be non-negative, got {min(counts)}")
     if sum(counts) != width * height:
-        raise ParseError(
-            f"RLE counts sum {sum(counts)} != {width}x{height} = {width * height}"
-        )
+        raise ParseError(f"RLE counts sum {sum(counts)} != {width}x{height} = {width * height}")
     counts = np.array(counts, dtype=np.int64)
     ends = np.cumsum(counts)
     starts, ends = (ends - counts)[1::2], ends[1::2]  # the set runs
@@ -237,27 +250,19 @@ def _write_image_doc(path, image_id, width, height, fields: dict) -> None:
 
 def _read_image_doc(path, list_key):
     """Returns (doc, image_id, width, height, records) of a checked document."""
-    doc = read_json(path)
-    _check_schema(doc, path)
-    image_id = _json_str(doc.get("imageId"), f"{path}: imageId")
-    width = _json_int(doc.get("imageWidth"), f"{path}: imageWidth")
-    height = _json_int(doc.get("imageHeight"), f"{path}: imageHeight")
-    _check_frame(width, height, f"{path}: image")
+    doc = _load_json(path)
+    _check_schema(doc)
+    image_id = _json_str(doc.get("imageId"), "imageId")
+    width = _json_int(doc.get("imageWidth"), "imageWidth")
+    height = _json_int(doc.get("imageHeight"), "imageHeight")
+    _check_frame(width, height, "image")
     records = doc.get(list_key)
     if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
-        raise ParseError(f"{path}: {list_key!r} must be a list of objects")
+        raise ParseError(f"{list_key!r} must be a list of objects")
     return doc, image_id, width, height, records
 
 
-def _build(path, record_type, *args):
-    """``record_type(*args)``; the ValueError of a rule it checks becomes a ParseError."""
-    try:
-        return record_type(*args)
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-
-
-def _pixel_budget(path):
+def _pixel_budget():
     """A function that charges a decoded mask's crop to the file's total of
     MAX_PIXELS and returns the mask: a run-length mask or a polygon of a few
     bytes can decode to a crop the size of its frame."""
@@ -267,60 +272,56 @@ def _pixel_budget(path):
         nonlocal left
         left -= mask.crop.size
         if left < 0:
-            raise ParseError(f"{path}: mask crops exceed {MAX_PIXELS} pixels in total")
+            raise ParseError(f"mask crops exceed {MAX_PIXELS} pixels in total")
         return mask
 
     return charge
 
 
-def _check_in_frame(what, coords, width, height, path) -> None:
+def _check_in_frame(what, coords, width, height) -> None:
     """``coords`` [xmin, ymin, xmax, ymax] may overhang the canvas by 1 px;
     NaN is never in frame."""
     xmin, ymin, xmax, ymax = coords
     if not (-OVERHANG_TOL <= xmin and -OVERHANG_TOL <= ymin
             and xmax <= width + OVERHANG_TOL and ymax <= height + OVERHANG_TOL):
-        raise ParseError(
-            f"{path}: {what} {coords} outside image bounds {width}x{height} (+1 px slack)"
-        )
+        raise ParseError(f"{what} {coords} outside image bounds {width}x{height} (+1 px slack)")
 
 
-def _box_from_json(raw, width, height, path) -> AxisBox:
+def _box_from_json(raw, width, height) -> AxisBox:
     if not isinstance(raw, list) or len(raw) != 4:
-        raise ParseError(f"{path}: box must be a list of 4 numbers, got {raw!r}")
-    vals = _json_numbers(raw, f"{path}: box coordinates").tolist()
-    _check_in_frame("box", vals, width, height, path)
-    return _build(path, AxisBox, *vals)
+        raise ParseError(f"box must be a list of 4 numbers, got {raw!r}")
+    vals = _json_numbers(raw, "box coordinates").tolist()
+    _check_in_frame("box", vals, width, height)
+    return AxisBox(*vals)
 
 
-def _polygon_from_json(raw, width, height, path) -> Polygon:
+def _polygon_from_json(raw, width, height) -> Polygon:
     if not isinstance(raw, list) or len(raw) < 3:
-        raise ParseError(f"{path}: polygon must list >= 3 points")
+        raise ParseError("polygon must list >= 3 points")
     if not all(isinstance(p, list) and len(p) == 2 for p in raw):
-        raise ParseError(f"{path}: polygon points must be [x, y] number pairs")
-    pts = _json_numbers([c for p in raw for c in p], f"{path}: polygon points").reshape(-1, 2)
+        raise ParseError("polygon points must be [x, y] number pairs")
+    pts = _json_numbers([c for p in raw for c in p], "polygon points").reshape(-1, 2)
     # the extent skips NaN, which Polygon rejects as not finite
     extent = np.fmin.reduce(pts).tolist() + np.fmax.reduce(pts).tolist()
-    _check_in_frame("polygon extent", extent, width, height, path)
+    _check_in_frame("polygon extent", extent, width, height)
     # clamp the permitted 1 px overhang onto the canvas for rasterization
-    return _build(path, Polygon, np.clip(pts, 0.0, (float(width), float(height))))
+    return Polygon(np.clip(pts, 0.0, (float(width), float(height))))
 
 
-def _mask_from_record(record, width, height, path, charge) -> BitMask:
+def _mask_from_record(record, width, height, charge) -> BitMask:
     """The record's mask; each crop decoded for it goes through ``charge``."""
     if "mask" in record:
         mask = rle_decode(record["mask"])
         if (mask.width, mask.height) != (width, height):
-            raise ParseError(
-                f"{path}: mask dimensions {mask.width}x{mask.height} != "
-                f"image {width}x{height}"
-            )
+            raise ParseError(f"mask dimensions {mask.width}x{mask.height} != "
+                             f"image {width}x{height}")
         return charge(mask)
     polys = record.get("polygons")
     if polys is None and "polygon" in record:
         polys = [record["polygon"]]
     if not polys or not isinstance(polys, list):
-        raise ParseError(f"{path}: record carries neither a mask nor a list of polygons")
-    masks = [charge(polygon_to_mask(_polygon_from_json(raw, width, height, path), width, height))
+        raise ParseError("record carries neither a mask nor a list of polygons")
+    masks = [charge(polygon_to_mask(_polygon_from_json(raw, width, height), width, height))
              for raw in polys]
     pieces = [m for m in masks if not m.is_empty()] or masks[:1]
     if len(pieces) == 1:
@@ -341,19 +342,24 @@ def _scored_record(item, value_key: str, value: float) -> dict:
 
 
 def _read_scored_records(path, list_key: str, record_type, value_key: str):
-    """Returns (doc, image_id, width, height, items), each item built as
-    ``record_type(mask, box, value)``, where the value is a JSON number."""
+    """Returns (image_id, width, height, source_tag, scale_factor, items), each
+    item built as ``record_type(mask, box, value)`` from a JSON number value."""
     doc, image_id, width, height, records = _read_image_doc(path, list_key)
-    charge = _pixel_budget(path)
+    source_tag = _json_str(doc.get("sourceTag", ""), "sourceTag")
+    scale = doc.get("scaleFactor", 1.0)
+    # an integer above the largest double would overflow float()
+    if type(scale) not in (int, float) or not 0.0 < scale <= sys.float_info.max:
+        raise ParseError(f"scaleFactor must be a finite number > 0, got {scale!r}")
+    charge = _pixel_budget()
     items = []
     for record in records:
         value = record.get(value_key)
         if type(value) not in (int, float):
-            raise ParseError(f"{path}: {value_key} must be a JSON number, got {value!r}")
-        box = _box_from_json(record.get("box"), width, height, path)
-        mask = _mask_from_record(record, width, height, path, charge)
-        items.append(_build(path, record_type, mask, box, value))
-    return doc, image_id, width, height, items
+            raise ParseError(f"{value_key} must be a JSON number, got {value!r}")
+        box = _box_from_json(record.get("box"), width, height)
+        mask = _mask_from_record(record, width, height, charge)
+        items.append(record_type(mask, box, value))
+    return image_id, width, height, source_tag, float(scale), items
 
 
 # ---------------------------------------------------------------------------
@@ -368,16 +374,12 @@ def save_detection_file(path, det_set: DetectionSet) -> None:
     })
 
 
+@_reads_file
 def load_detection_file(path) -> DetectionSet:
-    doc, image_id, width, height, detections = _read_scored_records(
+    image_id, width, height, source_tag, scale, detections = _read_scored_records(
         path, "detections", ScoredDetection, "score")
-    scale = doc.get("scaleFactor", 1.0)
-    # an integer above the largest double would overflow float()
-    if type(scale) not in (int, float) or not 0.0 < scale <= sys.float_info.max:
-        raise ParseError(f"{path}: scaleFactor must be a finite number > 0, got {scale!r}")
-    return DetectionSet(image_id=image_id, detections=detections,
-                        source_tag=_json_str(doc.get("sourceTag", ""), f"{path}: sourceTag"),
-                        image_width=width, image_height=height, scale_factor=float(scale))
+    return DetectionSet(image_id=image_id, detections=detections, source_tag=source_tag,
+                        image_width=width, image_height=height, scale_factor=scale)
 
 
 # ---------------------------------------------------------------------------
@@ -405,16 +407,12 @@ def save_weighted_label_file(path, labels, image_id: str, width: int, height: in
                      {"sourceTag": source_tag, "scaleFactor": 1.0, "labels": records})
 
 
+@_reads_file
 def load_weighted_label_file(path) -> WeightedLabelSet:
-    doc, image_id, width, height, labels = _read_scored_records(
+    image_id, width, height, source_tag, _, labels = _read_scored_records(
         path, "labels", PseudoLabel, "weight")
-    return WeightedLabelSet(
-        image_id=image_id,
-        labels=labels,
-        source_tag=_json_str(doc.get("sourceTag", ""), f"{path}: sourceTag"),
-        image_width=width,
-        image_height=height,
-    )
+    return WeightedLabelSet(image_id=image_id, labels=labels, source_tag=source_tag,
+                            image_width=width, image_height=height)
 
 
 # ---------------------------------------------------------------------------
@@ -428,16 +426,17 @@ def save_ground_truth_file(path, gt: GroundTruthSet) -> None:
     ]})
 
 
+@_reads_file
 def load_ground_truth_file(path) -> GroundTruthSet:
     _, image_id, width, height, records = _read_image_doc(path, "instances")
     instances, flags = [], []
     for record in records:
-        instances.append(_polygon_from_json(record.get("polygon"), width, height, path))
+        instances.append(_polygon_from_json(record.get("polygon"), width, height))
         ignore = record.get("ignore", False)
         if type(ignore) is not bool:
-            raise ParseError(f"{path}: 'ignore' must be true or false, got {ignore!r}")
+            raise ParseError(f"'ignore' must be true or false, got {ignore!r}")
         flags.append(ignore)
-    return _build(path, GroundTruthSet, image_id, instances, flags, width, height)
+    return GroundTruthSet(image_id, instances, flags, width, height)
 
 
 # ---------------------------------------------------------------------------
@@ -460,34 +459,33 @@ def save_tensor_file(path, tensors: dict, module: str = "tensors", config=None) 
         fh.writelines([head[:-1], ',"tensors":', payload, ',"checksum":"', checksum, '"}\n'])
 
 
+@_reads_file
 def load_tensor_file(path):
     """Returns (module, config, {name: float64 array}); verifies the checksum."""
-    doc = read_json(path)
-    _check_schema(doc, path)
+    doc = _load_json(path)
+    _check_schema(doc)
     raw = doc.get("tensors")
     if not isinstance(raw, dict):
-        raise ParseError(f"{path}: 'tensors' must be an object")
+        raise ParseError("'tensors' must be an object")
     tensors = {}
     for name in sorted(raw):
         entry = raw[name] if isinstance(raw[name], dict) else {}
         shape, data = entry.get("shape"), entry.get("data")
         if not isinstance(shape, list) or not isinstance(data, list):
-            raise ParseError(f"{path}: tensor {name!r} needs a 'shape' list and a 'data' list")
+            raise ParseError(f"tensor {name!r} needs a 'shape' list and a 'data' list")
         for e in shape:
-            if _json_int(e, f"{path}: tensor {name!r} shape entry") < 1:
-                raise ParseError(f"{path}: tensor {name!r} has an empty extent {shape}")
+            if _json_int(e, f"tensor {name!r} shape entry") < 1:
+                raise ParseError(f"tensor {name!r} has an empty extent {shape}")
         expected = math.prod(shape)
         if expected != len(data):
-            raise ParseError(
-                f"{path}: tensor {name!r} declares shape {shape} "
-                f"({expected} values) but carries {len(data)}"
-            )
-        arr = _json_numbers(data, f"{path}: tensor {name!r} data")
+            raise ParseError(f"tensor {name!r} declares shape {shape} "
+                             f"({expected} values) but carries {len(data)}")
+        arr = _json_numbers(data, f"tensor {name!r} data")
         if not np.isfinite(arr).all():
-            raise ParseError(f"{path}: tensor {name!r} holds a non-finite value")
+            raise ParseError(f"tensor {name!r} holds a non-finite value")
         tensors[name] = arr.reshape(shape)
     stored = doc.get("checksum")
     _, actual = _payload(tensors)
     if stored != actual:
-        raise ParseError(f"{path}: checksum mismatch ({stored!r} != {actual!r})")
+        raise ParseError(f"checksum mismatch ({stored!r} != {actual!r})")
     return str(doc.get("module", "tensors")), doc.get("config"), tensors

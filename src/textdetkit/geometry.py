@@ -140,7 +140,7 @@ def _cross(u, v):
     return u[0] * v[1] - u[1] * v[0]  # of (2, ...) arrays: x and y lead, so each is contiguous
 
 
-_BLOCK = 2**16  # elements per temporary of the all-edge-pairs tests
+_BLOCK = 2**16  # elements per temporary of the all-edge-pairs tests and the rasterizer
 
 
 def _edge_pairs(a, b):
@@ -512,22 +512,27 @@ def polygon_to_mask(p: Polygon, width: int, height: int) -> BitMask:
     (x0, y0), (x1, y1) = v.T, np.concatenate([v[1:], v[:1]]).T
     r0, r1 = np.ceil(y0 - 0.5).astype(np.int64), np.ceil(y1 - 0.5).astype(np.int64)
     count = np.abs(r1 - r0)  # the rows each edge crosses
-    edge = np.repeat(np.arange(len(count)), count)
-    row = np.arange(len(edge)) + (np.minimum(r0, r1) + count - np.cumsum(count))[edge]
-    xs = x0[edge] + (row + 0.5 - y0[edge]) * (1.0 / (y1 - y0)[edge]) * (x1 - x0)[edge]
-    order = np.lexsort((xs, row))  # pair each row's crossings left to right
-    cols = np.ceil(xs[order] - 0.5).astype(np.int64)
-    row, c0, c1 = row[order][::2], cols[::2], cols[1::2]
-    run = c1 > c0  # the pixels c0 <= c < c1 of the row are set
-    row, c0, c1 = row[run], c0[run], c1[run]
-    if not row.size:
+    ends = np.cumsum(count)
+    total = int(ends[-1])
+    if not total:
         return BitMask.empty(width, height)
-    r_lo, c_lo = int(row[0]), int(c0.min())
-    w = int(c1.max()) - c_lo
-    # +1 where a run starts and -1 where it ends, in row-major order
-    steps = np.zeros((int(row[-1]) + 1 - r_lo) * w + 1, np.int8)
-    at = (row - r_lo) * w - c_lo
-    steps[at + c0] = 1
-    steps[at + c1] -= 1
-    crop = (np.cumsum(steps[:-1], dtype=np.int8) > 0).reshape(-1, w)
-    return BitMask.from_crop(width, height, c_lo, r_lo, crop)
+    # pixel (r, c) is set when an odd number of row r's crossings have
+    # ceil(x - 0.5) <= c, which are the runs between its sorted crossings
+    # taken in pairs. Crossings toggle pixels of a crop that starts one column
+    # left of the extent, as x on a long leftward edge can round below the
+    # edge's end, and ends at ceil(xmax - 0.5), which no x rounds past.
+    r_lo, c_lo = int(r0.min()), max(0, math.ceil(xmin - 0.5) - 1)
+    w = math.ceil(xmax - 0.5) + 1 - c_lo
+    first = np.minimum(r0, r1) + count - ends  # crossing k of edge e lies on row k + first[e]
+    toggles = np.zeros((int(r0.max()) - r_lo) * w, bool)
+    for i in range(0, total, _BLOCK):  # blocks of crossings bound the temporaries
+        k = np.arange(i, min(i + _BLOCK, total))
+        edge = np.searchsorted(ends, k, side="right")
+        row = k + first[edge]
+        xs = x0[edge] + (row + 0.5 - y0[edge]) * (1.0 / (y1 - y0)[edge]) * (x1 - x0)[edge]
+        at = (row - r_lo) * w + np.ceil(xs - 0.5).astype(np.int64) - c_lo
+        np.logical_xor.at(toggles, at, True)
+    # every row toggles an even number of times, so one pass in row-major
+    # order never carries a row's parity into the next; the last column is clear
+    np.logical_xor.accumulate(toggles, out=toggles)
+    return BitMask.from_crop(width, height, c_lo, r_lo, toggles.reshape(-1, w)[:, :-1])

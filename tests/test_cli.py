@@ -420,6 +420,30 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "scaleFactor" in err
 
+    def test_integer_over_the_digit_limit_nms_exit_2(self, tmp_path, capsys):
+        # Python refuses to convert an integer literal of over 4300 digits, and
+        # json.dumps refuses to write one, so the file is written as text
+        src = tmp_path / "in.json"
+        text = json.dumps({
+            "schemaVersion": "1", "imageId": "img", "imageWidth": 4, "imageHeight": 4,
+            "detections": [{"box": [0, 0, 4, 4], "score": 12345,
+                            "mask": {"width": 4, "height": 4, "counts": [0, 16]}}]})
+        src.write_text(text.replace("12345", "9" * 5000))
+        assert main(["nms", "--in", str(src), "--out", str(tmp_path / "o.json")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {src}:")
+
+    @pytest.mark.parametrize("command, code", [("nms", 2), ("forward", 2), ("params", 4)])
+    def test_deep_nesting_exits_cleanly(self, tmp_path, capsys, command, code):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)  # past the recursion limit
+        out = str(tmp_path / "o.json")
+        argv = {"nms": ["nms", "--in", str(deep), "--out", out],
+                "forward": ["forward", "--module", "intra", "--weights", str(deep),
+                            "--input", str(deep), "--out", out],
+                "params": ["params", "--module", "inter", "--config", str(deep)]}[command]
+        assert main(argv) == code
+        assert capsys.readouterr().err.startswith(f"error: {deep}:")
+
     # each file declares a 100000x100000 frame in its header or its one RLE
     # mask, with a run or a polygon that spans it: 10^10 pixels, refused
     # before a raster of that frame is allocated

@@ -318,6 +318,21 @@ class TestRecordRules:
         with pytest.raises(ParseError, match=value_key):
             self._load(tmp_path, load, list_key, record)
 
+    def test_rle_fault_names_the_file(self, tmp_path, load, list_key, value_key):
+        record = _square_record(value_key, 0.5, [20.0, 20.0, 30.0, 30.0])
+        record["mask"]["counts"][-1] += 1
+        with pytest.raises(ParseError) as info:
+            self._load(tmp_path, load, list_key, record)
+        assert str(info.value).startswith(f"{tmp_path / 'doc.json'}: RLE counts sum")
+
+    def test_scale_factor_checked(self, tmp_path, load, list_key, value_key):
+        path = tmp_path / "doc.json"
+        record = _square_record(value_key, 0.5, [20.0, 20.0, 30.0, 30.0])
+        path.write_text(json.dumps(_image_doc(list_key, record, imageWidth=40, imageHeight=40,
+                                              scaleFactor="abc")))
+        with pytest.raises(ParseError, match="scaleFactor must be a finite number > 0"):
+            load(path)
+
 
 class TestPixelBudget:
     """The crops that one file's masks decode to count toward one total of

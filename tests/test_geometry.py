@@ -504,6 +504,38 @@ class TestPolygonToMask:
     def test_area_sums_in_vertex_order(self, p):
         assert polygon_area(p) == shoelace(p.vertices.tolist())
 
+    def test_crossing_rounds_below_the_extent(self):
+        # on the long edge into (4.5 + 2^-50, 28.5 + 2^-48), row 28 crosses at
+        # x = 4.5 exactly, so its run starts at column 4, left of the leftmost
+        # vertex's column ceil(xmin - 0.5) = 5
+        p = Polygon(((918.5091217923673, 11.00317243074585),
+                     (4.500000000000001, 28.500000000000004), (918.5091217923673, 0.0)))
+        mask = polygon_to_mask(p, 920, 30)
+        assert mask == row_rasterize(p, 920, 30)
+        assert mask.x0 == 4
+
+    @staticmethod
+    def _peak(p, width, height):
+        tracemalloc.start()
+        try:
+            mask = polygon_to_mask(p, width, height)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return mask, peak
+
+    def test_zigzag_stays_in_small_memory(self):
+        # 1000 edges that each cross about 1023 rows: 1M crossings, from 27 KB of JSON
+        zigzag = Polygon([(i * 1023 / 1000, 0.0 if i % 2 == 0 else 1024.0) for i in range(1001)])
+        mask, peak = self._peak(zigzag, 1024, 1024)
+        assert peak < 10e6  # the crossings alone, in float64, take 8 MB
+        assert mask.crop.shape == (1023, 1023)
+
+    def test_full_frame_square_stays_in_small_memory(self):
+        mask, peak = self._peak(Polygon(((0, 0), (1024, 0), (1024, 1024), (0, 1024))), 1024, 1024)
+        assert peak <= 3 * 1024 * 1024  # three bytes per pixel of the frame
+        assert mask.count() == 1024 * 1024
+
     def test_unit_square_covers_pixel_centers(self):
         big = Polygon(((0, 0), (10, 0), (10, 10), (0, 10)))
         m = polygon_to_mask(big, 10, 10)
