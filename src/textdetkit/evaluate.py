@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from scipy import ndimage
+import numpy as np
 
 from .errors import GeometryError, ImageIdMismatch
 from .geometry import (BitMask, Polygon, intersection_area, mask_to_polygons, polygon_area,
@@ -99,9 +99,35 @@ def region_iou(gt_poly: Polygon, det_polys) -> float:
 
 
 def _region(mask: BitMask) -> list[Polygon]:
-    """Outer contours of the hole-filled mask: an island in a hole counts once."""
-    filled = ndimage.binary_fill_holes(mask.crop)
-    return mask_to_polygons(BitMask.from_crop(mask.width, mask.height, mask.x0, mask.y0, filled))
+    """Outer contours of the hole-filled mask: an island in a hole counts once.
+
+    Those are the mask's outer contours less the ones inside another. Each
+    contour winds once counter-clockwise and starts at the top-left corner
+    of its component's first pixel, so the pixel above that one lies inside
+    exactly the contours around the component. Contours never cross, so the
+    winding numbers of all of them, summed on the crop's pixel grid, count
+    those contours at that pixel."""
+    polys = mask_to_polygons(mask)
+    if len(polys) < 2:
+        return polys
+    v = (np.concatenate([p.vertices for p in polys]) - (mask.x0, mask.y0)).astype(np.intp)
+    sizes = np.array([len(p.vertices) for p in polys])
+    ends = np.cumsum(sizes)
+    starts = v[ends - sizes]
+    nxt = np.roll(v, -1, axis=0)
+    nxt[ends - 1] = starts
+    # an edge from row y0 to y1 at column x changes by -1 the winding of the
+    # pixels right of it in rows [y0, y1), or by +1 in rows [y1, y0); a
+    # horizontal edge adds both at one point and cancels
+    h, w = mask.crop.shape
+    winding = np.zeros((h + 1, w + 1), np.int32)
+    np.add.at(winding, (v[:, 1], v[:, 0]), -1)
+    np.add.at(winding, (nxt[:, 1], v[:, 0]), 1)
+    np.cumsum(winding, axis=0, out=winding)
+    np.cumsum(winding, axis=1, out=winding)
+    # row -1 reads row h, below the crop, where every winding number is 0
+    around = winding[starts[:, 1] - 1, starts[:, 0]]
+    return [p for p, n in zip(polys, around.tolist()) if n == 0]
 
 
 def _share_area(bounds, box) -> bool:

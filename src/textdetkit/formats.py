@@ -488,4 +488,4 @@ def load_tensor_file(path):
     _, actual = _payload(tensors)
     if stored != actual:
         raise ParseError(f"checksum mismatch ({stored!r} != {actual!r})")
-    return str(doc.get("module", "tensors")), doc.get("config"), tensors
+    return _json_str(doc.get("module", "tensors"), "module"), doc.get("config"), tensors

@@ -483,8 +483,10 @@ def mask_to_polygons(m: BitMask) -> list[Polygon]:
     """Outer contours of the 8-connected foreground components of a mask,
     in the raster order of each component's first pixel: one CCW polygon
     each along the pixel boundary grid lines (collinear vertices merged,
-    holes ignored). Rasterizing the returned polygons with
-    :func:`polygon_to_mask` reproduces hole-free components exactly.
+    holes ignored). Each polygon starts at the top-left corner of its
+    component's first pixel in raster order, a turn that merging keeps.
+    Rasterizing the returned polygons with :func:`polygon_to_mask`
+    reproduces hole-free components exactly.
     """
     loops = map(_merge_collinear, _boundary_loops(m.crop))
     return [Polygon(v + (m.x0, m.y0)) for v in loops if _signed_area(v) > 0]  # outer, not holes

@@ -79,10 +79,6 @@ class Conv2dKernel:
     def kw(self) -> int:
         return self.weights.shape[3]
 
-    @property
-    def param_count(self) -> int:
-        return self.weights.size + self.bias.size
-
     @classmethod
     def zeros(cls, out_channels: int, in_channels: int, kh: int, kw: int) -> "Conv2dKernel":
         return cls(np.zeros((out_channels, in_channels, kh, kw)), np.zeros(out_channels))

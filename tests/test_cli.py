@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -386,6 +390,21 @@ class TestMalformedInputs:
                      "--input", str(path), "--out", str(tmp_path / "o.json")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "too large" in err
+
+    @pytest.mark.parametrize("module", [7, None, ["intra"]], ids=["int", "null", "list"])
+    def test_non_string_module_exit_2(self, tmp_path, capsys, module):
+        # a tag that is not a string is the file's fault, not a module mismatch (exit 5)
+        weights = tmp_path / "weights.json"
+        config, tensors = multipath.to_named_tensors(multipath.CascadeConfig.zeros(1))
+        formats.save_tensor_file(weights, tensors, module="intra", config=config)
+        doc = json.loads(weights.read_text())
+        doc["module"] = module  # the checksum covers the tensors only
+        weights.write_text(json.dumps(doc))
+        inputs = tmp_path / "input.json"
+        formats.save_tensor_file(inputs, {"input": np.ones((1, 2, 2))})
+        assert main(["forward", "--module", "intra", "--weights", str(weights),
+                     "--input", str(inputs), "--out", str(tmp_path / "o.json")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {weights}: module ")
 
     @pytest.mark.parametrize("box", [["0", "0", "4", True], [0, 0, HUGE, 4]],
                              ids=["strings-and-bool", "huge"])
@@ -931,3 +950,13 @@ class TestArgumentErrors:
                 code = clean_exit(argv)
                 assert code != 0 or flag in ("--out", "--report"), argv
                 (tmp_path / "abc").unlink(missing_ok=True)
+
+
+def test_cli_imports_no_scipy():
+    # numpy is the package's only runtime dependency; scipy serves the test oracles
+    root = pathlib.Path(__file__).resolve().parents[1]
+    probe = ("import sys, textdetkit.cli\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], cwd=root, capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": "src"}, check=True).stdout
+    assert out.strip() == "[]"

@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,12 +10,15 @@ from textdetkit.evaluate import (
     GroundTruthSet,
     compute_metrics,
     evaluate,
+    _region,
     match_detections,
     region_iou,
 )
 from textdetkit.geometry import AxisBox, BitMask, Polygon, mask_to_polygons, polygon_to_mask
 from textdetkit.pseudolabel import ScoredDetection
 from textdetkit.suppress import DetectionSet
+
+from conftest import fill_holes
 
 CANVAS = 64
 
@@ -306,3 +310,49 @@ class TestRegionIou:
         assert len(pieces) == 2
         got = region_iou(gt, pieces)
         assert abs(got - 32 / 96) <= 1e-12
+
+
+class TestRegion:
+    def test_contours_of_the_filled_mask(self):
+        # nested rectangles toggled in turn leave rings, holes and islands in
+        # holes, and 3-5% noise adds specks in holes and pinches; denser plain
+        # noise leaves small holes, islands and components with nested boxes
+        rng = np.random.default_rng(15)
+        islands = 0
+        for k in range(2000):
+            height, width = rng.integers(1, 25, size=2)
+            if k % 4:
+                bits = rng.random((height, width)) < rng.uniform(0.03, 0.05)
+                y0, x0, y1, x1 = 0, 0, height, width
+                while y0 < y1 and x0 < x1:
+                    bits[y0:y1, x0:x1] ^= True
+                    y0, x0 = y0 + rng.integers(1, 4), x0 + rng.integers(1, 4)
+                    y1, x1 = y1 - rng.integers(1, 4), x1 - rng.integers(1, 4)
+            else:
+                bits = rng.random((height, width)) < rng.uniform(0.3, 0.7)
+            frame = np.zeros((height + 3, width + 5), bool)
+            frame[2:-1, 3:-2] = bits
+            mask = BitMask.from_array(frame)
+            filled = BitMask.from_crop(mask.width, mask.height, mask.x0, mask.y0,
+                                       fill_holes(mask.crop))
+            got = _region(mask)
+            assert ([p.vertices.tolist() for p in got]
+                    == [p.vertices.tolist() for p in mask_to_polygons(filled)]), k
+            islands += len(got) < len(mask_to_polygons(mask))
+        assert islands >= 200
+
+    def test_speckle_memory_stays_near_the_trace(self):
+        # 4,096 one-pixel components: testing each contour against every
+        # other at once would hold 4,096^2 entries, about 67 MB at 4 bytes
+        bits = np.zeros((128, 128), bool)
+        bits[::2, ::2] = True
+        mask = BitMask.from_array(bits)
+        peaks = []
+        for run in (mask_to_polygons, _region):
+            tracemalloc.start()
+            try:
+                assert len(run(mask)) == 4096
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0]
